@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -457,6 +457,10 @@ def apply_config(leaf_parser, args, cfg: dict, argv: list) -> None:
 
 _LEAF_PARSERS: dict = {}
 
+# argparse's own pattern admits only integers and decimals, so '--sextic-m -1/2'
+# would read '-1/2' as an unknown option; fractions are values here too
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -566,6 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
     _LEAF_PARSERS["verify"] = p_verify
 
+    for leaf in _LEAF_PARSERS.values():
+        leaf._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

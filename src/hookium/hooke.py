@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .integrate import adaptive_quad
-from .polyops import Poly, exact_sqrt, real_roots, sturm_count
-from .series import EulerPolynomial, MonomialOperator, PowerSeries
+from .polyops import Poly, real_roots, sturm_count
+from .series import EulerPolynomial, MonomialOperator
 
 __all__ = [
     "CenterOfMassState",
@@ -31,13 +31,10 @@ __all__ = [
     "QuantizationBranch",
     "RadialWavefunction",
     "build_wavefunction",
-    "coefficient_recurrence",
     "energies",
     "hooke_series_operator",
     "oscillator_branch",
     "quantization_polynomial",
-    "radial_operator",
-    "radial_operator_from",
     "recurrence_coefficients",
     "solve_frequencies",
     "verify_branch",
@@ -131,11 +128,14 @@ def hooke_series_operator(m_abs, kappa, e_tilde):
     return F, P
 
 
-def recurrence_coefficients(kappa, e_tilde, m_abs, count: int):
+def recurrence_coefficients(kappa, e_tilde, m_abs, count: int, omega=1):
     """First `count` series coefficients a_0..a_{count-1} of the radial polynomial factor.
 
-    Three-term recurrence  j (j + 2|m|) a_j = kappa a_{j-1} + (2 (j-2) - e_tilde) a_{j-2}
-    with a_0 = 1. Pass kappa=None to carry it as a formal symbol (exact Poly output).
+    Three-term recurrence  j (j + 2|m|) a_j = kappa a_{j-1} + omega (2 (j-2) - e_tilde) a_{j-2}
+    with a_0 = 1. This is the package's one recurrence: with omega = 1 it runs in
+    the scaled variable rho (kappa = Z / sqrt(omega_tilde)); with omega = omega_tilde
+    and kappa = Z it runs in r; under x^2 = r it gives the sextic sector series.
+    Pass kappa=None to carry it as a formal symbol (exact Poly output).
     """
     symbolic = kappa is None
     kap = Poly.symbol() if symbolic else kappa
@@ -144,31 +144,22 @@ def recurrence_coefficients(kappa, e_tilde, m_abs, count: int):
     for j in range(1, count):
         term = kap * out[j - 1]
         if j >= 2:
-            term = term + (2 * (j - 2) - e_tilde) * out[j - 2]
+            term = term + omega * (2 * (j - 2) - e_tilde) * out[j - 2]
         out.append(term / (j * (j + 2 * m_abs)))
     return out
 
 
-def coefficient_recurrence(kappa, n_target: int, m):
-    """Coefficients a_0 .. a_{n_target+1} at the level that terminates at degree n_target - 1.
-
-    The termination level fixes e_tilde = 2 (n_target - 1); at an admissible
-    kappa both a_{n_target} and a_{n_target+1} vanish.
-    """
-    if n_target < 1:
-        raise ValueError("n_target must be >= 1")
-    m_abs = abs(Fraction(m)) if isinstance(m, (int, Fraction)) else abs(m)
-    return recurrence_coefficients(kappa, 2 * (n_target - 1), m_abs, n_target + 2)
-
-
 def quantization_polynomial(n: int, m) -> Poly:
-    """a_n as an exact polynomial in kappa at the degree-(n-1) termination level.
+    """a_n as an exact polynomial in kappa at the level that terminates at degree n - 1.
 
-    Its roots (with sign matching Z) are the admissible couplings; only powers
-    kappa^n, kappa^(n-2), ... appear.
+    The termination level fixes e_tilde = 2 (n - 1). Its roots (with sign
+    matching Z) are the admissible couplings; only powers kappa^n,
+    kappa^(n-2), ... appear.
     """
-    coeffs = coefficient_recurrence(None, n, m)
-    return coeffs[n]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m_abs = abs(Fraction(m)) if isinstance(m, (int, Fraction)) else abs(m)
+    return recurrence_coefficients(None, 2 * (n - 1), m_abs, n + 1)[n]
 
 
 def _branch_from_s(n, m, Z, s_exact: Fraction | None, s_float: float) -> QuantizationBranch:
@@ -248,19 +239,6 @@ class CenterOfMassState:
         return out if out.ndim else float(out)
 
 
-def radial_operator_from(m_abs, omega_tilde, Z) -> MonomialOperator:
-    """-d^2/(2 dr^2) + (m^2 - 1/4)/(2 r^2) + omega^2 r^2/2 + Z/(2 r), monomial form."""
-    cf = (m_abs * m_abs - 0.25) / 2.0
-    terms = [(-0.5, 0, 2), (0.5 * omega_tilde * omega_tilde, 2, 0), (0.5 * Z, -1, 0)]
-    if cf:
-        terms.append((cf, -2, 0))
-    return MonomialOperator(terms)
-
-
-def radial_operator(params: HookeParams) -> MonomialOperator:
-    return radial_operator_from(abs(params.m), params.omega_tilde, params.Z)
-
-
 @dataclass(frozen=True)
 class RadialWavefunction:
     """Normalized radial profile u(r) = norm * exp(-w r^2/2) r^(|m|+1/2) poly(r).
@@ -315,16 +293,6 @@ class RadialWavefunction:
         out = self.norm * np.exp(-0.5 * w * r * r) * (wdd - 2 * w * r * wd + (w * w * r * r - w) * wv)
         return out if out.ndim else float(out)
 
-    def rho_series(self) -> PowerSeries:
-        """The polynomial factor in the scaled variable rho = sqrt(omega) * r.
-
-        Same function as poly, reparametrized: t(rho) = poly(rho / sqrt(omega)),
-        so its coefficients are the kappa-recurrence values (floats in general).
-        """
-        scale = 1.0 / math.sqrt(self.omega)
-        coeffs = [float(c) * scale**j for j, c in enumerate(self.poly.coeffs)]
-        return PowerSeries(0, coeffs)
-
     @property
     def nodes(self) -> int:
         """Positive real zeros of the polynomial factor."""
@@ -346,25 +314,17 @@ def _norm_constant(m_abs, omega, poly: Poly) -> float:
 
 
 def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
-    """Normalized u for a branch; polynomial built by the r-space recurrence.
+    """Normalized u for a branch; polynomial built by the recurrence run in r.
 
-    In r the recurrence needs only Z and omega_tilde:
-        j (j + 2|m|) b_j = Z b_{j-1} + omega * (2 (j - 2) - e_tilde) b_{j-2},
-    so coefficients stay exact rationals whenever omega_tilde is rational.
+    In r the recurrence needs only Z and omega_tilde (kappa = Z, omega =
+    omega_tilde), so coefficients stay exact rationals whenever omega_tilde is
+    rational.
     """
-    n = branch.n
     exact = branch.omega_exact is not None and float(branch.Z).is_integer()
     w = branch.omega_exact if exact else branch.omega_tilde
     Zc = Fraction(int(branch.Z)) if exact else branch.Z
     m_abs = abs(Fraction(branch.m)) if exact and _is_rational(branch.m) else float(branch.m_abs)
-    e_tilde = 2 * (n - 1)
-    b = [Fraction(1) if exact else 1.0]
-    for j in range(1, n):
-        term = Zc * b[j - 1]
-        if j >= 2:
-            term = term + w * (2 * (j - 2) - e_tilde) * b[j - 2]
-        b.append(term / (j * (j + 2 * m_abs)))
-    poly = Poly(b)
+    poly = Poly(recurrence_coefficients(Zc, 2 * (branch.n - 1), m_abs, branch.n, w))
     norm = _norm_constant(branch.m_abs, branch.omega_tilde, poly)
     return RadialWavefunction(m_abs=float(branch.m_abs), omega=branch.omega_tilde,
                               Z=float(branch.Z), eps_rel=branch.eps_rel,

@@ -25,7 +25,7 @@ from .hooke import (
     build_wavefunction,
     solve_frequencies,
 )
-from .integrate import QuadratureNonConvergence, adaptive_quad
+from .integrate import adaptive_quad
 from .polyops import real_roots
 
 __all__ = [
@@ -78,10 +78,6 @@ class PairCorrelation:
 
     def __call__(self, r):
         return self.wf.density_radial(r) / (2.0 * math.pi)
-
-    def radial(self, r):
-        """The 2 pi-free form u^2/r used by the entropy profiles."""
-        return self.wf.density_radial(r)
 
     def total_probability(self) -> float:
         """Integral of G over the plane (= integral of u^2 dr); 1 for a normalized state."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -148,22 +147,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def shift_degree(self, k: int) -> "Poly":
-        """Multiply by X**k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return Poly((0,) * k + self.coeffs)
-
-    def substitute_square(self, s):
-        """Reduce modulo X**2 - s: return (even_part(s-form), odd cofactor).
-
-        Splits p(X) = e(X**2) + X*o(X**2) and evaluates both halves at s,
-        so p vanishes at X = +-sqrt(s) iff both returned values do (s != 0).
-        """
-        even = Poly(self.coeffs[0::2])
-        odd = Poly(self.coeffs[1::2])
-        return even(s), odd(s)
-
     def even_odd_parts(self):
         """Coefficients of X**2 in p = e(X**2) + X*o(X**2)."""
         return Poly(self.coeffs[0::2]), Poly(self.coeffs[1::2])
@@ -174,9 +157,6 @@ class Poly:
 
     def as_floats(self) -> "Poly":
         return Poly([float(c) for c in self.coeffs])
-
-    def monic(self) -> "Poly":
-        return self / self.leading
 
     def content_normalized(self) -> "Poly":
         """Divide by the gcd of numerators over lcm of denominators (sign kept)."""

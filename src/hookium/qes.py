@@ -20,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize as _sciopt
 
-from .hooke import RadialWavefunction
+from .hooke import RadialWavefunction, _is_rational, recurrence_coefficients
 from .integrate import adaptive_quad
 from .polyops import Poly, exact_sqrt, real_roots, sturm_count
-from .series import EulerPolynomial, MonomialOperator, PowerSeries, series_solve
+from .series import EulerPolynomial, MonomialOperator, PowerSeries
 
 __all__ = [
     "BracketError",
@@ -39,9 +39,7 @@ __all__ = [
     "node_count",
     "qes_condition",
     "qes_eigen_series",
-    "qes_series",
     "rayleigh_quotient",
-    "reduced_qes_operator",
     "sector_degree",
     "sector_energies",
     "sextic_residual",
@@ -59,7 +57,7 @@ class BracketError(RuntimeError):
 
 
 def _sqrt_exact_or_float(value):
-    if isinstance(value, (int, Fraction)) or (isinstance(value, float) and value.is_integer()):
+    if _is_rational(value):
         root = exact_sqrt(Fraction(value))
         if root is not None:
             return root
@@ -109,54 +107,49 @@ def qes_condition(n: int, m, gamma) -> float:
     return -sg * (2 * n + 2 * m + 5)
 
 
-def reduced_qes_operator(p: SexticParams) -> MonomialOperator:
-    """Similarity-transformed operator -d^2/2 + sqrt(gamma) x^3 d + A x^2 - (m+1)(1/x) d."""
-    return MonomialOperator([
-        (-0.5, 0, 2),
-        (p.sqrt_gamma, 3, 1),
-        (p.A, 2, 0),
-        (-(p.m + 1), -1, 1),
-    ])
+def _series_system(p: SexticParams, E):
+    """Reduced eigen-equation as (F, P): [F(D) + 2E x^2 - 2A x^4 - 2 sqrt(gamma) x^5 d] u = 0.
 
-
-def _series_system(p: SexticParams, E, doubled: bool):
-    two_m1 = 2 * p.m + 1
-    if isinstance(p.m, (int, Fraction)) or (isinstance(p.m, float) and float(p.m).is_integer()):
+    F(D) = D(D + 2m + 1). This is -2 x^2 (H_reduced - E) u = 0 with the
+    similarity-reduced operator H_reduced = -d^2/2 + sqrt(gamma) x^3 d + A x^2
+    - (m+1)(1/x) d; applying it to a truncated series leaves the residual tail.
+    """
+    if _is_rational(p.m):
         F = EulerPolynomial.from_roots([0, -Fraction(2 * Fraction(p.m) + 1)])
     else:
-        F = EulerPolynomial(Poly((0.0, float(two_m1), 1.0)))
-    k = 2 if doubled else 1
-    A = p.A
-    sg = p.sqrt_gamma
-    P = MonomialOperator([(k * E, 2, 0), (-k * A, 4, 0), (-2 * sg, 5, 1)])
+        F = EulerPolynomial(Poly((0.0, float(2 * p.m + 1), 1.0)))
+    P = MonomialOperator([(2 * E, 2, 0), (-2 * p.A, 4, 0), (-2 * p.sqrt_gamma, 5, 1)])
     return F, P
 
 
-def qes_series(E, p: SexticParams, N: int) -> PowerSeries:
-    """Even power series from [F(D) + E x^2 - A x^4 - 2 sqrt(gamma) x^5 d] u = 0.
+def _sector_coefficients(p: SexticParams, kappa, count: int) -> list:
+    """c_0..c_{count-1}, the x^(2j) coefficients of the reduced eigen-series.
 
-    F(D) = D(D + 2m + 1). This is the expansion whose leading coefficients are
-    -E/(2(2m+3)) at x^2 and A/(4(2m+5)) + E^2/(8(2m+3)(2m+5)) at x^4. Note it
-    is NOT the eigen-expansion of reduced_qes_operator: multiplying the
-    operator through by -2 x^2 doubles the E and A terms (see qes_eigen_series).
+    Under x^2 = r the eigen-equation is the trap recurrence with kappa = -E/2,
+    omega = sqrt(gamma)/2, 2|m~| = m + 1/2 and e_tilde = -A/sqrt(gamma); the
+    coefficients stay exact rationals when sqrt(gamma), A and m are rational.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    F, P = _series_system(p, E, doubled=False)
-    return series_solve(F, P, 0, N)
+    sg, A = p.sqrt_gamma, p.A
+    if isinstance(sg, Fraction) and isinstance(A, Fraction) and _is_rational(p.m):
+        m_tilde = (2 * Fraction(p.m) + 1) / 4
+    else:
+        sg, A, m_tilde = float(sg), float(A), (2.0 * float(p.m) + 1.0) / 4.0
+    return recurrence_coefficients(kappa, -A / sg, m_tilde, count, sg / 2)
 
 
 def qes_eigen_series(E, p: SexticParams, N: int) -> PowerSeries:
-    """Even power series solving the actual eigenproblem of reduced_qes_operator.
+    """Even power series, exact through x^N, solving the reduced eigen-equation.
 
-    Satisfies [F(D) + 2E x^2 - 2A x^4 - 2 sqrt(gamma) x^5 d] u = 0, which is
-    -2 x^2 ((H_reduced) - E) u = 0; equals qes_series with E and A doubled.
-    psi0 * u is then an eigenfunction candidate of the full sextic operator.
+    Satisfies [F(D) + 2E x^2 - 2A x^4 - 2 sqrt(gamma) x^5 d] u = 0 below x^(N+1)
+    (see _series_system); psi0 * u is then an eigenfunction candidate of the
+    full sextic operator.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    F, P = _series_system(p, E, doubled=True)
-    return series_solve(F, P, 0, N)
+    c = _sector_coefficients(p, -(Fraction(E) if isinstance(E, int) else E) / 2, N // 2 + 1)
+    coeffs = [0] * (2 * len(c) - 1)
+    coeffs[::2] = c
+    return PowerSeries(0, coeffs)
 
 
 def sector_degree(p: SexticParams) -> int | None:
@@ -174,30 +167,15 @@ def sector_degree(p: SexticParams) -> int | None:
 def sector_energies(p: SexticParams) -> list[float]:
     """Exact eigenvalues of the closed polynomial sector, ascending.
 
-    The eigen-recurrence 2j(2j+2m+1) c_j = -2E c_{j-1} + 2(A + 2(j-2) sqrt(gamma)) c_{j-2}
-    run with symbolic E gives c_{d+1}(E); its real roots are the sector energies.
+    The sector recurrence run with symbolic E gives c_{d+1}(E); its real roots
+    are the sector energies.
     """
     d = sector_degree(p)
     if d is None:
         raise ValueError("parameters do not close a polynomial sector (A is not -2d sqrt(gamma))")
-    E = Poly.symbol()
-    sg = p.sqrt_gamma
-    A = p.A
-    exact = isinstance(sg, Fraction) and isinstance(A, Fraction) and _is_rational(p.m)
-    if not exact:
-        sg, A = float(sg), float(A)
-    c = [Poly.constant(Fraction(1) if exact else 1.0)]
-    for j in range(1, d + 2):
-        term = (-2 * c[j - 1]) * E
-        if j >= 2:
-            term = term + (2 * A + 4 * (j - 2) * sg) * c[j - 2]
-        c.append(term / (2 * j * (2 * j + 2 * p.m + 1)))
+    c = _sector_coefficients(p, -Poly.symbol() / 2, d + 2)
     rational, irrational = real_roots(c[d + 1])
     return sorted([float(r) for r in rational] + list(irrational))
-
-
-def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction)) or (isinstance(x, float) and x.is_integer())
 
 
 @dataclass(frozen=True)
@@ -379,56 +357,42 @@ def _x_max(p: SexticParams) -> float:
     return (36.0 * math.log(10.0) / math.sqrt(p.gamma)) ** 0.25 + 1.0
 
 
-def _residual_functional(p: SexticParams, E: float, N: int, x_max: float):
-    """R(E) = ||(H - E) psi||^2 / ||psi||^2 with psi = psi0 * truncated eigen series."""
+def _trial_state(p: SexticParams, E: float, N: int, x_max: float):
+    """Trial series u, residual series (H - E) u, ||psi||^2 and the psi0^2-weighted integral.
+
+    psi = psi0 * u with the truncated eigen series; the residual is
+    -tail / (2 x^2), the reduced operator's tail above the truncation.
+    """
     u = qes_eigen_series(E, p, N)
-    F, P = _series_system(p, E, doubled=True)
-    tail = F.to_monomial().apply(u) + P.apply(u)
+    F, P = _series_system(p, E)
+    resid = (F.to_monomial().apply(u) + P.apply(u)).shifted(-2).scaled(-0.5)
     m = float(p.m)
     sg = float(p.sqrt_gamma)
     peak = max(((m + 1.0) / sg) ** 0.25, 0.3)
 
-    def weight(x):
-        return x ** (2.0 * m + 2.0) * math.exp(-sg * x**4 / 2.0)
+    def weighted_integral(f) -> float:
+        val, _ = adaptive_quad(lambda x: x ** (2.0 * m + 2.0) * math.exp(-sg * x**4 / 2.0) * f(x),
+                               0.0, x_max, tol_abs=1e-13, tol_rel=1e-11, limit=300,
+                               points=[peak])
+        return val
 
-    def norm_f(x):
-        return weight(x) * u.evaluate(x) ** 2
+    return u, resid, weighted_integral(lambda x: u.evaluate(x) ** 2), weighted_integral
 
-    norm, _ = adaptive_quad(norm_f, 0.0, x_max, tol_abs=1e-13, tol_rel=1e-11,
-                            limit=300, points=[peak])
-    if tail.is_zero():
+
+def _residual_functional(p: SexticParams, E: float, N: int, x_max: float):
+    """R(E) = ||(H - E) psi||^2 / ||psi||^2 with psi = psi0 * truncated eigen series."""
+    u, resid, norm, weighted_integral = _trial_state(p, E, N, x_max)
+    if resid.is_zero():
         return 0.0, u, norm
-    half = tail.shifted(-2).scaled(-0.5)
-
-    def resid_f(x):
-        return weight(x) * half.evaluate(x) ** 2
-
-    rnum, _ = adaptive_quad(resid_f, 0.0, x_max, tol_abs=1e-13, tol_rel=1e-11,
-                            limit=300, points=[peak])
-    return rnum / norm, u, norm
+    return weighted_integral(lambda x: resid.evaluate(x) ** 2) / norm, u, norm
 
 
 def rayleigh_quotient(p: SexticParams, E: float, N: int) -> float:
     """<psi_E|(H - E)|psi_E> / <psi_E|psi_E>; zero-crossings locate candidate energies."""
-    x_max = _x_max(p)
-    u = qes_eigen_series(E, p, N)
-    F, P = _series_system(p, E, doubled=True)
-    tail = F.to_monomial().apply(u) + P.apply(u)
-    m = float(p.m)
-    sg = float(p.sqrt_gamma)
-    peak = max(((m + 1.0) / sg) ** 0.25, 0.3)
-
-    def weight(x):
-        return x ** (2.0 * m + 2.0) * math.exp(-sg * x**4 / 2.0)
-
-    norm, _ = adaptive_quad(lambda x: weight(x) * u.evaluate(x) ** 2, 0.0, x_max,
-                            tol_abs=1e-13, tol_rel=1e-11, limit=300, points=[peak])
-    if tail.is_zero():
+    u, resid, norm, weighted_integral = _trial_state(p, E, N, _x_max(p))
+    if resid.is_zero():
         return 0.0
-    half = tail.shifted(-2).scaled(-0.5)
-    num, _ = adaptive_quad(lambda x: weight(x) * u.evaluate(x) * half.evaluate(x), 0.0, x_max,
-                           tol_abs=1e-13, tol_rel=1e-11, limit=300, points=[peak])
-    return num / norm
+    return weighted_integral(lambda x: u.evaluate(x) * resid.evaluate(x)) / norm
 
 
 def _default_bracket(p: SexticParams) -> tuple:

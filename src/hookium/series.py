@@ -27,10 +27,8 @@ __all__ = [
     "MonomialOperator",
     "PowerSeries",
     "ResonanceError",
-    "apply_operator",
     "indicial_roots",
     "invert_euler",
-    "residual",
     "series_solve",
 ]
 
@@ -153,9 +151,6 @@ class PowerSeries:
         if self.is_zero():
             return self
         return PowerSeries(self.base + k, self.coeffs)
-
-    def map_coefficients(self, fn) -> "PowerSeries":
-        return PowerSeries(self.base, [fn(c) for c in self.coeffs])
 
     def evaluate(self, x, deriv: int = 0):
         """Termwise derivative of order deriv evaluated at x (scalar or array).
@@ -311,11 +306,6 @@ class MonomialOperator:
         return f"MonomialOperator({list(self.terms)!r})"
 
 
-def apply_operator(P: MonomialOperator, y: PowerSeries) -> PowerSeries:
-    """(P y) as an exact series."""
-    return P.apply(y)
-
-
 def invert_euler(F: EulerPolynomial, y: PowerSeries) -> PowerSeries:
     """Solve F(D) z = y termwise: z coefficient at x**s is c_s / F(s)."""
     if y.is_zero():
@@ -361,12 +351,3 @@ def series_solve(F: EulerPolynomial, P: MonomialOperator, lam, N: int) -> PowerS
         z = -invert_euler(F, z)
         total = total + z
     return total
-
-
-def residual(L: MonomialOperator, y: PowerSeries, grid) -> float:
-    """max |(L y)(x)| over the grid, normalized by max(1, max |y(x)|)."""
-    pts = np.asarray(grid, dtype=float)
-    z = L.apply(y)
-    num = 0.0 if z.is_zero() else float(np.max(np.abs(z.evaluate(pts))))
-    den = 1.0 if y.is_zero() else max(1.0, float(np.max(np.abs(y.evaluate(pts)))))
-    return num / den

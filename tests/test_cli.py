@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,22 @@ def run(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def readme_cli_commands():
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("hookium ")]
+
+
+def test_readme_cli_commands_succeed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HOOKIUM_OUT_DIR", str(tmp_path))
+    commands = readme_cli_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_solve_quadratic_branches_golden(capsys):

@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hookium import hooke
@@ -156,11 +155,12 @@ def test_perturbed_frequency_fails_residual():
 
 
 def test_rho_series_matches_r_polynomial():
-    wf = hooke.build_wavefunction(hooke.solve_frequencies(3, 1, -1)[0])
-    rho = 0.7
-    r = rho / math.sqrt(wf.omega)
-    t = wf.rho_series()
-    assert t.evaluate(rho) == pytest.approx(float(wf.poly(r)), rel=1e-13)
+    # the kappa-space run (omega = 1) is the r-space run in rho = sqrt(omega) r
+    branch = hooke.solve_frequencies(3, 1, -1)[0]
+    wf = hooke.build_wavefunction(branch)
+    a = hooke.recurrence_coefficients(branch.kappa, 2 * (3 - 1), 1, 3)
+    for j, b in enumerate(wf.poly.coeffs):
+        assert float(a[j]) * wf.omega ** (j / 2) == pytest.approx(float(b), rel=1e-13)
 
 
 def test_hooke_params_round_trip():

@@ -39,14 +39,6 @@ def test_even_odd_parts():
     assert even(x * x) + x * odd(x * x) == pytest.approx(p(x), rel=1e-14)
 
 
-def test_substitute_square_reduces_exactly():
-    # X^4 + X^2 + X + 1 modulo X^2 - 3 is (9 + 3 + 1) + X
-    p = Poly([Fraction(1), Fraction(1), Fraction(1), Fraction(0), Fraction(1)])
-    even, odd = p.substitute_square(Fraction(3))
-    assert even == Fraction(13)
-    assert odd == Fraction(1)
-
-
 def test_exact_sqrt():
     assert exact_sqrt(Fraction(4, 9)) == Fraction(2, 3)
     assert exact_sqrt(Fraction(2)) is None
@@ -103,4 +95,3 @@ def test_real_roots_huge_coefficients_do_not_hang():
 def test_content_normalized_and_monic():
     p = Poly([Fraction(2), Fraction(4)])
     assert p.content_normalized() == Poly([Fraction(1), Fraction(2)])
-    assert p.monic() == Poly([Fraction(1, 2), Fraction(1)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hookium import hooke, qes
+from hookium.series import EulerPolynomial, MonomialOperator
 
 
 @pytest.fixture(scope="module")
@@ -50,31 +51,45 @@ def test_sector_energies_symmetric_pair(exact_sector):
 
 
 def test_series_leading_coefficients():
+    # x^2 and x^4 coefficients of the eigen-equation series, -2E/(2(2m+3)) and
+    # 2A/(4(2m+5)) + (2E)^2/(8(2m+3)(2m+5)) at m = 0
     p = qes.SexticParams(alpha=-3.0, gamma=1.0, m=0)
     E = 1.7
-    s = qes.qes_series(E, p, 8)
+    s = qes.qes_eigen_series(E, p, 8)
     A = float(p.A)
-    c2 = -E / 6.0
-    c4 = A / 20.0 + E * E / 120.0
     assert s.coefficient(0) == 1
-    assert s.coefficient(2) == pytest.approx(c2, abs=1e-15)
-    assert s.coefficient(4) == pytest.approx(c4, abs=1e-15)
-    # the eigen-equation series carries twice the energy and twice A
-    se = qes.qes_eigen_series(E, p, 8)
-    assert se.coefficient(2) == pytest.approx(2 * c2, abs=1e-15)
+    assert s.coefficient(2) == pytest.approx(-E / 3.0, abs=1e-15)
+    assert s.coefficient(4) == pytest.approx(A / 10.0 + E * E / 30.0, abs=1e-15)
 
 
 def test_eigen_series_annihilated_below_truncation():
     p = qes.SexticParams(alpha=-3.0, gamma=1.0, m=0)
     N = 20
-    u = qes.qes_eigen_series(1.7, p, N)
-    F, P = qes._series_system(p, 1.7, doubled=True)
+    E = 1.7
+    u = qes.qes_eigen_series(E, p, N)
+    # the reduced eigen-operator, written out independently of the recurrence
+    F = EulerPolynomial.from_roots([0, -1])
+    P = MonomialOperator([(2 * E, 2, 0), (-2 * float(p.A), 4, 0),
+                          (-2 * float(p.sqrt_gamma), 5, 1)])
     tail = F.to_monomial().apply(u) + P.apply(u)
     low = max((abs(float(tail.coefficient(e))) for e in tail.exponents() if e <= N),
               default=0.0)
     high = max(abs(float(tail.coefficient(e))) for e in tail.exponents() if e > N)
     assert low < 1e-14
     assert high > 1e-4
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+@pytest.mark.parametrize("m", (Fraction(-1, 2), Fraction(0), Fraction(1)))
+@pytest.mark.parametrize("gamma", (Fraction(1, 4), Fraction(4, 9), Fraction(1),
+                                   Fraction(9, 4), Fraction(4)))
+def test_closed_sector_levels_map_to_trap_states(gamma, m, n):
+    p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
+    levels = qes.sector_energies(p)
+    assert len(levels) == n // 2 + 1
+    for E in levels:
+        u = qes.qes_eigen_series(E, p, n + 2)
+        assert hooke.verify_branch(qes.sextic_state_to_hooke(p, E, u)) <= 1e-9, E
 
 
 def test_exact_sector_states(mapped_sector):

@@ -5,8 +5,7 @@ import pytest
 
 from hookium.polyops import Poly
 from hookium.series import (EulerPolynomial, MonomialOperator, PowerSeries,
-                            ResonanceError, indicial_roots, invert_euler, residual,
-                            series_solve)
+                            ResonanceError, indicial_roots, invert_euler, series_solve)
 
 
 def euler_apply_direct(series, grid):
@@ -112,16 +111,6 @@ def test_series_solve_second_root_leading_exponent():
     y = series_solve(F, P, -2, 9)
     assert y.coefficient(-2) == 1
     assert min(y.exponents()) == -2
-
-
-def test_residual_normalization():
-    F = EulerPolynomial.from_roots([0])
-    P = MonomialOperator([(Fraction(1), 2, 0)])
-    y = series_solve(F, P, 0, 20)
-    L = F.to_monomial() + P
-    # truncation tail scales like x^(N+2), so keep the grid inside x = 1/2
-    grid = np.linspace(0.1, 0.5, 40)
-    assert residual(L, y, grid) < 1e-12
 
 
 def test_evaluate_derivative():
