@@ -6,9 +6,9 @@ forms), entropy (radial profiles, Cartesian surfaces, frequency scans), qes
 (the sextic-oscillator dictionary and variational estimator), and verify (the
 named consistency suite).
 
-Exit codes: 0 success, 1 failed verification, 2 bad usage or configuration,
-3 no closed branch for the requested quantum numbers, 4 quadrature tolerance
-not reachable, 5 variational search failure.
+Exit codes: 0 success, 1 failed verification, 2 bad usage, configuration or
+out-of-range value, 3 no closed branch for the requested quantum numbers,
+4 quadrature tolerance not reachable, 5 variational search failure.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def parse_int_range(spec) -> list[int]:
 
 
 def parse_number_list(spec) -> list[float]:
-    """'1,-1' -> [1.0, -1.0]."""
+    """'1,-1/2' -> [1.0, -0.5]."""
     try:
-        return [float(tok) for tok in str(spec).split(",") if tok != ""]
+        return [float(parse_rational(tok)) for tok in str(spec).split(",") if tok != ""]
     except ValueError:
         raise ConfigError(f"bad number list {spec!r} (want comma-separated values)") from None
 
@@ -83,7 +83,7 @@ def parse_number_list(spec) -> list[float]:
 def parse_bracket(spec) -> tuple:
     try:
         lo_s, hi_s = str(spec).split(":", 1)
-        return (float(lo_s), float(hi_s))
+        return (float(parse_rational(lo_s)), float(parse_rational(hi_s)))
     except ValueError:
         raise ConfigError(f"bad bracket {spec!r} (want 'lo:hi')") from None
 
@@ -542,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--Z", default="1")
     p_map.add_argument("--branch", type=int, default=0)
     p_map.add_argument("--gamma", help="sextic side: coupling")
-    p_map.add_argument("--alpha", type=float, help="sextic side: quadratic coupling")
-    p_map.add_argument("--E", type=float, help="sextic side: energy")
+    p_map.add_argument("--alpha", type=parse_rational, help="sextic side: quadratic coupling")
+    p_map.add_argument("--E", type=parse_rational, help="sextic side: energy")
     p_map.add_argument("--sextic-m", default="0", help="sextic side: centrifugal index")
     p_map.set_defaults(func=cmd_qes, qes_func=cmd_qes_map)
     _LEAF_PARSERS["qes map"] = p_map
@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--gamma", default="1",
                        help="sextic coupling (defaults describe the repulsive "
                             "two-particle pair mapped through x^2 = r)")
-    p_var.add_argument("--alpha", type=float, default=-8.0)
+    p_var.add_argument("--alpha", type=parse_rational, default=-8.0)
     p_var.add_argument("--sextic-m", default="-1/2")
     p_var.add_argument("--nodes", type=int)
     p_var.add_argument("--N", type=int, default=16, help="series truncation order")
@@ -586,12 +586,6 @@ def main(argv=None) -> int:
                 leaf_key = f"qes {args.qes_command}"
             apply_config(_LEAF_PARSERS[leaf_key], args, load_config(args.config), argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except hooke.InconsistentParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except hooke.NoBranchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_BRANCH
@@ -601,6 +595,9 @@ def main(argv=None) -> int:
     except (qes.NodeCountUnreachable, qes.BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH
+    except ValueError as exc:  # ConfigError, InconsistentParams, values outside the domain
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -400,6 +400,8 @@ class EntropySurface:
 def entropy_surface(wf: RadialWavefunction, extent: float | None = None,
                     points: int = 201) -> EntropySurface:
     """S_G on a points x points Cartesian grid over [-extent, extent]^2."""
+    if points < 1:
+        raise ValueError("surface points must be >= 1")
     if extent is None:
         extent = 12.0 / math.sqrt(wf.omega)
     axis = np.linspace(-extent, extent, points)

@@ -19,11 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import optimize as _sciopt
+from scipy import special as _special
 
 from .hooke import RadialWavefunction, _is_rational, recurrence_coefficients
-from .integrate import adaptive_quad
 from .polyops import Poly, exact_sqrt, real_roots, sturm_count
-from .series import EulerPolynomial, MonomialOperator, PowerSeries
+from .series import PowerSeries
 
 __all__ = [
     "BracketError",
@@ -103,23 +103,10 @@ def qes_condition(n: int, m, gamma) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
     sg = _sqrt_exact_or_float(gamma)
     return -sg * (2 * n + 2 * m + 5)
-
-
-def _series_system(p: SexticParams, E):
-    """Reduced eigen-equation as (F, P): [F(D) + 2E x^2 - 2A x^4 - 2 sqrt(gamma) x^5 d] u = 0.
-
-    F(D) = D(D + 2m + 1). This is -2 x^2 (H_reduced - E) u = 0 with the
-    similarity-reduced operator H_reduced = -d^2/2 + sqrt(gamma) x^3 d + A x^2
-    - (m+1)(1/x) d; applying it to a truncated series leaves the residual tail.
-    """
-    if _is_rational(p.m):
-        F = EulerPolynomial.from_roots([0, -Fraction(2 * Fraction(p.m) + 1)])
-    else:
-        F = EulerPolynomial(Poly((0.0, float(2 * p.m + 1), 1.0)))
-    P = MonomialOperator([(2 * E, 2, 0), (-2 * p.A, 4, 0), (-2 * p.sqrt_gamma, 5, 1)])
-    return F, P
 
 
 def _sector_coefficients(p: SexticParams, kappa, count: int) -> list:
@@ -140,9 +127,11 @@ def _sector_coefficients(p: SexticParams, kappa, count: int) -> list:
 def qes_eigen_series(E, p: SexticParams, N: int) -> PowerSeries:
     """Even power series, exact through x^N, solving the reduced eigen-equation.
 
-    Satisfies [F(D) + 2E x^2 - 2A x^4 - 2 sqrt(gamma) x^5 d] u = 0 below x^(N+1)
-    (see _series_system); psi0 * u is then an eigenfunction candidate of the
-    full sextic operator.
+    Its coefficients solve (H_reduced - E) u = 0 order by order, with the
+    similarity-reduced operator H_reduced = -d^2/2 + sqrt(gamma) x^3 d + A x^2
+    - (m+1)(1/x) d; cutting the series leaves only the two terms written out in
+    _trial_state. psi0 * u is then an eigenfunction candidate of the full
+    sextic operator.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -353,46 +342,58 @@ class VariationalState:
 
 
 def _x_max(p: SexticParams) -> float:
-    # tail bound: exp(-sqrt(gamma) x^4 / 2) < 1e-18
+    # nodes are counted on (0, x_max): beyond it psi0^2 = x^(2m+2) exp(-sqrt(gamma) x^4 / 2)
+    # is below 1e-18, so sign changes of the trial series there carry no weight
     return (36.0 * math.log(10.0) / math.sqrt(p.gamma)) ** 0.25 + 1.0
 
 
-def _trial_state(p: SexticParams, E: float, N: int, x_max: float):
-    """Trial series u, residual series (H - E) u, ||psi||^2 and the psi0^2-weighted integral.
+def _inner(p: SexticParams, f: PowerSeries, g: PowerSeries) -> float:
+    """<f, g> = int_0^inf psi0^2 f g dx for polynomial series f, g (neither zero).
 
-    psi = psi0 * u with the truncated eigen series; the residual is
-    -tail / (2 x^2), the reduced operator's tail above the truncation.
+    With psi0^2 = x^(2m+2) exp(-b x^4), b = sqrt(gamma)/2, the pair x^i, x^j
+    contributes the Gamma moment Gamma(k) / (4 b^k), k = (2m + 3 + i + j)/4.
     """
-    u = qes_eigen_series(E, p, N)
-    F, P = _series_system(p, E)
-    resid = (F.to_monomial().apply(u) + P.apply(u)).shifted(-2).scaled(-0.5)
-    m = float(p.m)
-    sg = float(p.sqrt_gamma)
-    peak = max(((m + 1.0) / sg) ** 0.25, 0.3)
-
-    def weighted_integral(f) -> float:
-        val, _ = adaptive_quad(lambda x: x ** (2.0 * m + 2.0) * math.exp(-sg * x**4 / 2.0) * f(x),
-                               0.0, x_max, tol_abs=1e-13, tol_rel=1e-11, limit=300,
-                               points=[peak])
-        return val
-
-    return u, resid, weighted_integral(lambda x: u.evaluate(x) ** 2), weighted_integral
+    fg = np.convolve([float(c) for c in f.coeffs], [float(c) for c in g.coeffs])
+    k = (2.0 * float(p.m) + 3.0 + float(f.base + g.base) + np.arange(fg.size)) / 4.0
+    if k[0] <= 0:
+        raise ValueError("psi0^2 is not integrable at x = 0 for m <= -3/2")
+    b = float(p.sqrt_gamma) / 2.0
+    return float(fg @ (_special.gamma(k) / (4.0 * b**k)))
 
 
-def _residual_functional(p: SexticParams, E: float, N: int, x_max: float):
+def _trial_state(p: SexticParams, E, N: int):
+    """Trial series u, residual series (H - E) u and ||psi||^2, psi = psi0 * u.
+
+    u is the eigen series through x^(2K), K = N // 2. The recurrence run two
+    terms further gives c_(K+1), c_(K+2); the terms cut off leave, with 2m~ = m + 1/2,
+    (H - E) u = 2 (K+1)(K+1+2m~) c_(K+1) x^(2K)
+              + [2 (K+2)(K+2+2m~) c_(K+2) + E c_(K+1)] x^(2K+2),
+    in the series' own arithmetic, so an exact level leaves the zero series.
+    """
+    K = N // 2
+    extended = qes_eigen_series(E, p, 2 * K + 4)
+    u = extended.truncated(2 * K)
+    c1, c2 = extended.coefficient(2 * K + 2), extended.coefficient(2 * K + 4)
+    two_m = Fraction(p.m) + Fraction(1, 2)  # exact; the coefficients' type decides the arithmetic
+    resid = PowerSeries(2 * K, [2 * (K + 1) * (K + 1 + two_m) * c1, 0,
+                                2 * (K + 2) * (K + 2 + two_m) * c2 + E * c1])
+    return u, resid, _inner(p, u, u)
+
+
+def _residual_functional(p: SexticParams, E: float, N: int):
     """R(E) = ||(H - E) psi||^2 / ||psi||^2 with psi = psi0 * truncated eigen series."""
-    u, resid, norm, weighted_integral = _trial_state(p, E, N, x_max)
+    u, resid, norm = _trial_state(p, E, N)
     if resid.is_zero():
         return 0.0, u, norm
-    return weighted_integral(lambda x: resid.evaluate(x) ** 2) / norm, u, norm
+    return _inner(p, resid, resid) / norm, u, norm
 
 
 def rayleigh_quotient(p: SexticParams, E: float, N: int) -> float:
     """<psi_E|(H - E)|psi_E> / <psi_E|psi_E>; zero-crossings locate candidate energies."""
-    u, resid, norm, weighted_integral = _trial_state(p, E, N, _x_max(p))
+    u, resid, norm = _trial_state(p, E, N)
     if resid.is_zero():
         return 0.0
-    return weighted_integral(lambda x: u.evaluate(x) * resid.evaluate(x)) / norm
+    return _inner(p, u, resid) / norm
 
 
 def _default_bracket(p: SexticParams) -> tuple:
@@ -414,6 +415,8 @@ def variational_state(p: SexticParams, target_nodes: int, N: int,
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    if scan_points < 2:
+        raise ValueError("scan_points must be >= 2")
     if E_bracket is None:
         E_bracket = _default_bracket(p)
     lo, hi = float(E_bracket[0]), float(E_bracket[1])
@@ -431,12 +434,12 @@ def variational_state(p: SexticParams, target_nodes: int, N: int,
             f"no E in [{lo!r}, {hi!r}] gives {target_nodes} nodes at truncation N={N}")
     rvals = {}
     for Ev in matches:
-        rvals[Ev], _, _ = _residual_functional(p, Ev, N, x_max)
+        rvals[Ev], _, _ = _residual_functional(p, Ev, N)
     best = min(matches, key=lambda e: rvals[e])
     step = (hi - lo) / (scan_points - 1)
     left, right = max(best - step, lo), min(best + step, hi)
-    r_left = _residual_functional(p, left, N, x_max)[0] if left < best else math.inf
-    r_right = _residual_functional(p, right, N, x_max)[0] if right > best else math.inf
+    r_left = _residual_functional(p, left, N)[0] if left < best else math.inf
+    r_right = _residual_functional(p, right, N)[0] if right > best else math.inf
     if rvals[best] > min(r_left, r_right):
         raise BracketError("residual functional has no interior minimum near the node window")
     # the quotient <psi|(H-E)psi>/<psi|psi> crosses zero linearly where the
@@ -452,7 +455,7 @@ def variational_state(p: SexticParams, target_nodes: int, N: int,
                                       left, right, xtol=tol))
     else:
         res = _sciopt.minimize_scalar(
-            lambda e: _residual_functional(p, float(e), N, x_max)[0],
+            lambda e: _residual_functional(p, float(e), N)[0],
             bounds=(left, right), method="bounded", options={"xatol": tol})
         E_star = float(res.x)
         # a result hugging the user's bracket edge means the true minimum
@@ -461,7 +464,7 @@ def variational_state(p: SexticParams, target_nodes: int, N: int,
         if E_star - lo < edge_pad or hi - E_star < edge_pad:
             raise BracketError(
                 f"residual minimum pinned at bracket edge near E={E_star!r}; widen E_bracket")
-    r_star, u_star, _ = _residual_functional(p, E_star, N, x_max)
+    r_star, u_star, _ = _residual_functional(p, E_star, N)
     nodes = node_count(u_star, (0.0, x_max))
     if nodes != target_nodes:
         raise NodeCountUnreachable(

@@ -146,12 +146,6 @@ class PowerSeries:
     def scaled(self, factor) -> "PowerSeries":
         return PowerSeries(self.base, [factor * c for c in self.coeffs])
 
-    def shifted(self, k: int) -> "PowerSeries":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return PowerSeries(self.base + k, self.coeffs)
-
     def evaluate(self, x, deriv: int = 0):
         """Termwise derivative of order deriv evaluated at x (scalar or array).
 

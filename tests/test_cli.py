@@ -238,3 +238,37 @@ def test_verify_detune_fails_one_check(capsys):
     assert len(fails) == 1
     assert "eigen-residual-n3-m1" in fails[0]
     assert lines[-1] == "28/29 checks passed"
+
+
+def test_numeric_flags_take_fractions(capsys):
+    code, half, _ = run(capsys, "solve", "--n", "2", "--Z", "-1/2")
+    assert code == 0
+    code, decimal, _ = run(capsys, "solve", "--n", "2", "--Z", "-0.5")
+    assert code == 0
+    assert half == decimal
+    code, out, _ = run(capsys, "qes", "map", "--gamma", "1", "--alpha", "-8", "--E", "-1/2")
+    assert code == 0
+    assert "Z = 0.25" in out.splitlines()
+    code, out, _ = run(capsys, "qes", "variational", "--nodes", "1", "--bracket", "1/2:3")
+    assert code == 0
+    assert "node_count = 1" in out.splitlines()
+    code, _, err = run(capsys, "solve", "--n", "2", "--Z", "1/0")
+    assert code == 2
+    assert "bad number list" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "entropy --n 2 --m 0 --Z -1 --surface --surface-points 0",
+    "entropy --n 2 --m 0 --Z -1 --surface --surface-points -3",
+    "qes variational --nodes 1 --N 1",
+    "qes variational --nodes 1 --scan-points 1",
+    "qes variational --nodes 1 --gamma 0",
+    "qes condition --n -1 --gamma 1",
+    "qes condition --n 2 --gamma -1",
+    "density --n 2 --Z 1 --grid 0:4:3 --beta -1",
+    "qes variational --nodes 1 --sextic-m -2 --bracket 0:3",
+])
+def test_out_of_range_values_are_config_errors(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code == 2
+    assert err.startswith("error: ")

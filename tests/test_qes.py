@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hookium import hooke, qes
-from hookium.series import EulerPolynomial, MonomialOperator
+from hookium.integrate import adaptive_quad
+from hookium.series import EulerPolynomial, MonomialOperator, PowerSeries
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +114,59 @@ def test_node_count_exact_rational_path(exact_sector):
 
 
 def test_residual_functional_discriminates(mapped_sector):
-    x_max = qes._x_max(mapped_sector)
-    r_exact, _, _ = qes._residual_functional(mapped_sector, 2.0, 12, x_max)
-    r_off, _, _ = qes._residual_functional(mapped_sector, 2.3, 12, x_max)
+    r_exact, _, _ = qes._residual_functional(mapped_sector, 2.0, 12)
+    r_off, _, _ = qes._residual_functional(mapped_sector, 2.3, 12)
     assert r_exact <= 1e-12
     assert r_off > 1e-6
+
+
+def _quadrature_inner(p, f, g):
+    """int_0^x_max psi0^2 f g dx by adaptive quadrature over pointwise series values."""
+    m, sg = float(p.m), float(p.sqrt_gamma)
+    peak = max(((m + 1.0) / sg) ** 0.25, 0.3)
+    val, _ = adaptive_quad(lambda x: x ** (2.0 * m + 2.0) * math.exp(-sg * x**4 / 2.0)
+                           * f.evaluate(x) * g.evaluate(x),
+                           0.0, qes._x_max(p), tol_abs=1e-13, tol_rel=1e-11, limit=300,
+                           points=[peak])
+    return val
+
+
+def _operator_residual(p, E, u):
+    """(H - E) u from the reduced operator [F(D) + 2E x^2 - 2A x^4 - 2 sqrt(gamma) x^5 d] u,
+    which is -2 x^2 (H - E) u, built independently of the recurrence."""
+    F = EulerPolynomial.from_roots([0, -(2 * p.m + 1)])
+    P = MonomialOperator([(2 * E, 2, 0), (-2 * p.A, 4, 0), (-2 * p.sqrt_gamma, 5, 1)])
+    tail = F.to_monomial().apply(u) + P.apply(u)
+    return PowerSeries(tail.base - 2, tail.coeffs).scaled(-0.5)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6))
+@pytest.mark.parametrize("m", (Fraction(-1, 2), Fraction(0), Fraction(1)))
+@pytest.mark.parametrize("gamma", (Fraction(1, 4), Fraction(1), Fraction(4), 0.3))
+def test_gamma_moments_match_quadrature(gamma, m, n):
+    p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
+    levels = qes.sector_energies(p)
+    # below the ground level, between the two lowest levels, above the top one
+    for E in (levels[0] - 0.5, (levels[0] + levels[1]) / 2, levels[-1] + 0.5):
+        for N in (12, 16):
+            u, _, norm = qes._trial_state(p, E, N)
+            want_resid = _operator_residual(p, E, u)
+            want_norm = _quadrature_inner(p, u, u)
+            assert norm == pytest.approx(want_norm, rel=1e-12, abs=0)
+            R = qes._residual_functional(p, E, N)[0]
+            want_R = _quadrature_inner(p, want_resid, want_resid) / want_norm
+            assert R == pytest.approx(want_R, rel=1e-9, abs=1e-20)
+            rq = qes.rayleigh_quotient(p, E, N)
+            want_rq = _quadrature_inner(p, u, want_resid) / want_norm
+            assert rq == pytest.approx(want_rq, rel=1e-9, abs=1e-12)
+
+
+def test_exact_level_residual_vanishes(exact_sector):
+    u, resid, norm = qes._trial_state(exact_sector, Fraction(2), 12)
+    assert resid.is_zero()
+    assert norm > 0
+    assert qes._residual_functional(exact_sector, Fraction(2), 12)[0] == 0.0
+    assert qes.rayleigh_quotient(exact_sector, Fraction(2), 12) == 0.0
 
 
 def test_rayleigh_quotient_crosses_zero(mapped_sector):
