@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -52,9 +53,12 @@ def parse_rational(text):
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {text!r}")
+    return value
 
 
 def parse_int_range(spec) -> list[int]:
@@ -346,12 +350,13 @@ def cmd_qes_map(args) -> int:
         return EXIT_OK
     if args.gamma is None or args.alpha is None or args.E is None:
         raise ConfigError("map needs either --n/--m/--Z or --gamma/--alpha/--E")
-    p = qes.SexticParams(alpha=float(args.alpha), gamma=parse_rational(args.gamma),
-                         m=parse_rational(args.sextic_m))
-    eq = qes.map_to_hooke(p, args.E)
+    E = parse_rational(args.E)
+    p = qes.SexticParams(alpha=float(parse_rational(args.alpha)),
+                         gamma=parse_rational(args.gamma), m=parse_rational(args.sextic_m))
+    eq = qes.map_to_hooke(p, E)
     print(f"gamma = {format_number(float(p.gamma))}")
     print(f"alpha = {format_number(float(p.alpha))}")
-    print(f"E = {format_number(float(args.E))}")
+    print(f"E = {format_number(float(E))}")
     print(f"omega = {format_number(eq.omega_tilde)}")
     print(f"Z = {format_number(eq.Z)}")
     print(f"m_tilde = {format_number(eq.m_tilde)}")
@@ -361,8 +366,8 @@ def cmd_qes_map(args) -> int:
 
 def cmd_qes_variational(args) -> int:
     _require(args, "nodes")
-    p = qes.SexticParams(alpha=float(args.alpha), gamma=parse_rational(args.gamma),
-                         m=parse_rational(args.sextic_m))
+    p = qes.SexticParams(alpha=float(parse_rational(args.alpha)),
+                         gamma=parse_rational(args.gamma), m=parse_rational(args.sextic_m))
     bracket = parse_bracket(args.bracket) if args.bracket else None
     vs = qes.variational_state(p, args.nodes, args.N, bracket,
                                scan_points=args.scan_points)
@@ -501,7 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--grid", default=None, help="'min:max:points'")
     p_density.add_argument("--spacing", choices=("linear", "log"), default="linear")
     p_density.add_argument("--quad-tol", type=float, default=1e-15,
-                           help="absolute quadrature tolerance per density point")
+                           help="absolute tolerance per density point (relative: 1000x "
+                                "this); the Gauss rule at two panel counts must agree "
+                                "within it, else exit 4")
     p_density.set_defaults(func=cmd_density)
     _LEAF_PARSERS["density"] = p_density
 
@@ -542,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--Z", default="1")
     p_map.add_argument("--branch", type=int, default=0)
     p_map.add_argument("--gamma", help="sextic side: coupling")
-    p_map.add_argument("--alpha", type=parse_rational, help="sextic side: quadratic coupling")
-    p_map.add_argument("--E", type=parse_rational, help="sextic side: energy")
+    p_map.add_argument("--alpha", help="sextic side: quadratic coupling")
+    p_map.add_argument("--E", help="sextic side: energy")
     p_map.add_argument("--sextic-m", default="0", help="sextic side: centrifugal index")
     p_map.set_defaults(func=cmd_qes, qes_func=cmd_qes_map)
     _LEAF_PARSERS["qes map"] = p_map
@@ -553,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--gamma", default="1",
                        help="sextic coupling (defaults describe the repulsive "
                             "two-particle pair mapped through x^2 = r)")
-    p_var.add_argument("--alpha", type=parse_rational, default=-8.0)
+    p_var.add_argument("--alpha", default="-8")
     p_var.add_argument("--sextic-m", default="-1/2")
     p_var.add_argument("--nodes", type=int)
     p_var.add_argument("--N", type=int, default=16, help="series truncation order")

@@ -3,8 +3,9 @@
 The relative-motion profile u fixes the pair correlation G = u^2/(2 pi r).
 Folding G with the Gaussian center-of-mass cloud gives the single-particle
 density n(r), computed here two independent ways: a closed catalog of
-exponential-Bessel expressions, and direct convolution by adaptive quadrature
-(with the angular integral done analytically or numerically). Entropy
+exponential-Bessel expressions, and direct convolution by a vectorized
+Gauss-Legendre rule (with the angular integral done analytically or
+numerically). Entropy
 profiles and totals are Shannon functionals of these densities.
 """
 
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy import optimize as _sciopt
 from scipy import special as _sf
 
@@ -25,7 +25,7 @@ from .hooke import (
     build_wavefunction,
     solve_frequencies,
 )
-from .integrate import adaptive_quad
+from .integrate import adaptive_quad, gauss_legendre
 from .polyops import real_roots
 
 __all__ = [
@@ -63,6 +63,25 @@ def bessel_i(order: int, x, scaled: bool = False):
     raise ValueError("order must be 0 or 1")
 
 
+_PANELS = 4        # radial panels of the Gauss rule, certified against 8
+_BLOCK = 1 << 15   # float64 entries of one (rows x nodes) block; its temporaries stay near 1 MiB
+
+
+def _rule_rows(f, rows, b: float, panels: int, tol_abs: float, tol_rel: float):
+    """Gauss rule of f(rows[:, None], nodes) over [0, b] per row, in blocks of about _BLOCK."""
+    step = max(1, _BLOCK // (2 * 48 * panels))   # nodes of the rule's finer pass
+    return np.concatenate([
+        gauss_legendre(lambda x: f(rows[i:i + step, None], x), 0.0, b, panels=panels,
+                       tol_abs=tol_abs, tol_rel=tol_rel)[0]
+        for i in range(0, rows.size, step)])
+
+
+def _u2_range(wf: RadialWavefunction) -> float:
+    """Radius past which u^2, polynomial factor included, is below e^-80 of its peak."""
+    k = 2.0 * wf.m_abs + 1.0 + 2.0 * max(wf.poly.degree, 0)
+    return math.sqrt((80.0 + 4.0 * k) / wf.omega)
+
+
 def default_grid(omega: float, points: int = 512, r_min: float = 1e-4, span: float = 12.0):
     """Log-spaced radial grid on [r_min, span/sqrt(omega)]."""
     if omega <= 0:
@@ -81,11 +100,9 @@ class PairCorrelation:
 
     def total_probability(self) -> float:
         """Integral of G over the plane (= integral of u^2 dr); 1 for a normalized state."""
-        rmax = self.wf.support_radius(120.0)
-        val, _ = adaptive_quad(self.wf.u_squared, 0.0, rmax,
-                               tol_abs=1e-12, tol_rel=1e-11,
-                               points=[1.0 / math.sqrt(self.wf.omega)])
-        return val
+        val, _ = gauss_legendre(self.wf.u_squared, 0.0, _u2_range(self.wf), panels=_PANELS,
+                                tol_abs=1e-12, tol_rel=1e-11)
+        return float(val)
 
 
 def pair_correlation(wf: RadialWavefunction) -> PairCorrelation:
@@ -108,45 +125,35 @@ class DensityProfile:
         if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
 
-    def integral_2d(self) -> float:
-        """Trapezoid integral of the profile against the planar measure 2 pi r dr."""
-        return float(np.trapezoid(2.0 * math.pi * self.grid * self.values, self.grid))
 
-    def normalize(self) -> "DensityProfile":
-        scale = self.normalization_target / self.integral_2d()
-        return DensityProfile(grid=self.grid, values=self.values * scale,
-                              normalization_target=self.normalization_target,
-                              method=self.method, beta=self.beta,
-                              scale_applied=self.scale_applied * scale)
+def _angular_mean(z, tol_abs: float, tol_rel: float):
+    """(1/pi) int_0^pi exp(-z (1 - cos t)) dt for every element of z.
 
-
-def _angular_kernel_numeric(z: float) -> float:
-    """(1/2pi) integral of exp(-z (1 - cos t)) dt over a full turn.
-
-    Equals the scaled Bessel i0e(z); evaluated by quadrature to give the
+    Equals the scaled Bessel i0e(z); evaluated by the Gauss rule to give the
     density pipeline a route that never touches the Bessel implementation.
+    The rule runs on s = t / t_max, with the integrand below e^-50 of its peak
+    past t_max, so its nodes follow the peak's 1/sqrt(z) width.
     """
-    val, _ = _sciint.quad(lambda t: math.exp(-z * (1.0 - math.cos(t))), 0.0, math.pi,
-                          epsabs=1e-13, epsrel=1e-12, limit=200)
-    return val / math.pi
+    def f(zs, s):
+        t_max = np.arccos(np.maximum(1.0 - 50.0 / np.maximum(zs, 25.0), -1.0))
+        return t_max * np.exp(-zs * (1.0 - np.cos(t_max * s)))
+    return _rule_rows(f, z.ravel(), 1.0, 1, tol_abs, tol_rel).reshape(z.shape) / math.pi
 
 
-def _density_point(wf: RadialWavefunction, beta: float, r: float, angular: str,
-                   tol_abs: float, tol_rel: float) -> float:
-    rmax = wf.support_radius(160.0) + 2.0 * r + math.sqrt(160.0 / beta)
-    if angular == "bessel":
-        def f(rp):
-            return wf.u_squared(rp) * math.exp(-beta * (r - 0.5 * rp) ** 2) * _sf.i0e(beta * r * rp)
-    elif angular == "numeric":
-        def f(rp):
-            return (wf.u_squared(rp) * math.exp(-beta * (r - 0.5 * rp) ** 2)
-                    * _angular_kernel_numeric(beta * r * rp))
-    else:
+def _convolve(wf: RadialWavefunction, beta: float, r, angular: str,
+              tol_abs: float, tol_rel: float):
+    """n(r) = (2 beta/pi) int u(r')^2 exp(-beta (r - r'/2)^2) i0e(beta r r') dr' on an ndarray r.
+
+    The kernel is at most 1, so the support of u^2 bounds r' for every r.
+    """
+    if angular not in ("bessel", "numeric"):
         raise ValueError("angular must be 'bessel' or 'numeric'")
-    hints = [2.0 * r, math.sqrt((wf.m_abs + 0.5) / wf.omega)]
-    val, _ = adaptive_quad(f, 0.0, rmax, tol_abs=tol_abs, tol_rel=tol_rel,
-                           limit=400, points=hints)
-    return (2.0 * beta / math.pi) * val
+
+    def f(rows, rp):
+        z = beta * rows * rp
+        mean = _sf.i0e(z) if angular == "bessel" else _angular_mean(z, tol_abs, tol_rel)
+        return wf.u_squared(rp) * np.exp(-beta * (rows - 0.5 * rp) ** 2) * mean
+    return (2.0 * beta / math.pi) * _rule_rows(f, r, _u2_range(wf), _PANELS, tol_abs, tol_rel)
 
 
 def density_quadrature(wf: RadialWavefunction, cm: CenterOfMassState, grid=None, *,
@@ -156,26 +163,24 @@ def density_quadrature(wf: RadialWavefunction, cm: CenterOfMassState, grid=None,
 
     Reduces to n(r) = (2 beta/pi) int u(r')^2 exp(-beta (r - r'/2)^2) i0e(beta r r') dr'
     after the angular integral; `angular="numeric"` does that inner integral by
-    quadrature instead of the Bessel identity. Raises QuadratureNonConvergence
-    when the requested tolerance cannot be met.
+    quadrature instead of the Bessel identity. Every integral is a composite
+    Gauss-Legendre rule certified by its agreement at two panel counts; raises
+    QuadratureNonConvergence when the requested tolerance cannot be met.
     """
     if grid is None:
         grid = default_grid(wf.omega)
     grid = np.asarray(grid, dtype=float)
-    values = np.array([_density_point(wf, cm.beta, float(r), angular, tol_abs, tol_rel)
-                       for r in grid])
-    profile = DensityProfile(grid=grid, values=values, normalization_target=2.0,
-                             method=f"quadrature-{angular}", beta=cm.beta)
-    if not normalize:
-        return profile
-    rmax = wf.support_radius(160.0) + 2.0 * math.sqrt(160.0 / cm.beta)
-    total, _ = adaptive_quad(
-        lambda r: 2.0 * math.pi * r * _density_point(wf, cm.beta, r, angular, tol_abs, tol_rel),
-        0.0, rmax, tol_abs=1e-9, tol_rel=1e-8, limit=200,
-        points=[1.0 / math.sqrt(wf.omega)])
-    scale = 2.0 / total
+    values = _convolve(wf, cm.beta, grid, angular, tol_abs, tol_rel)
+    scale = 1.0
+    if normalize:
+        # n(r) <= (2 beta/pi) exp(-beta (r - r'/2)^2) for every r' in the support of u^2
+        r_max = 0.5 * _u2_range(wf) + math.sqrt(80.0 / cm.beta)
+        total, _ = gauss_legendre(
+            lambda r: 2.0 * math.pi * r * _convolve(wf, cm.beta, r, angular, tol_abs, tol_rel),
+            0.0, r_max, panels=_PANELS, tol_abs=1e-9, tol_rel=1e-8)
+        scale = 2.0 / float(total)
     return DensityProfile(grid=grid, values=values * scale, normalization_target=2.0,
-                          method=profile.method, beta=cm.beta, scale_applied=scale)
+                          method=f"quadrature-{angular}", beta=cm.beta, scale_applied=scale)
 
 
 @dataclass(frozen=True)
@@ -259,10 +264,10 @@ def closed_form_density(case, grid=None) -> DensityProfile:
     if grid is None:
         grid = default_grid(case.omega)
     grid = np.asarray(grid, dtype=float)
-    rmax = math.sqrt(140.0 / case.gauss)
-    total, _ = adaptive_quad(lambda r: 2.0 * math.pi * r * case.raw(r), 0.0, rmax,
-                             tol_abs=1e-12, tol_rel=1e-11, limit=300)
-    scale = 2.0 / total
+    total, _ = gauss_legendre(lambda r: 2.0 * math.pi * r * case.raw(r), 0.0,
+                              math.sqrt(140.0 / case.gauss), panels=_PANELS,
+                              tol_abs=1e-12, tol_rel=1e-11)
+    scale = 2.0 / float(total)
     return DensityProfile(grid=grid, values=case.raw(grid) * scale,
                           normalization_target=2.0, method="closed-form",
                           beta=None, scale_applied=scale)
@@ -296,8 +301,7 @@ def fit_cm_width(wf: RadialWavefunction, reference, *, r_max: float = 6.0,
         bounds = (wf.omega / 10.0, 10.0 * wf.omega)
 
     def objective(beta: float) -> float:
-        q = np.array([_density_point(wf, beta, float(r), "bessel", 1e-13, 1e-10)
-                      for r in pts])
+        q = _convolve(wf, beta, pts, "bessel", 1e-13, 1e-10)
         rel = (q[mask] - ref[mask]) / ref[mask]
         return float(np.sqrt(np.mean(rel * rel)))
 
@@ -343,8 +347,7 @@ def compare_density_routes(case, grid=None, *, fit_width: bool = True,
         beta = fit.beta
     else:
         beta = wf.omega
-    quad_vals = np.array([_density_point(wf, beta, float(r), angular, 1e-15, 1e-12)
-                          for r in grid])
+    quad_vals = _convolve(wf, beta, grid, angular, 1e-15, 1e-12)
     peak = quad_vals.max()
     mask = quad_vals >= 1e-8 * peak
     dev = float(np.max(np.abs(quad_vals[mask] - closed.values[mask]) / quad_vals[mask]))

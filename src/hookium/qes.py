@@ -87,12 +87,6 @@ class SexticParams:
         alpha = Fraction(self.alpha) if isinstance(self.alpha, int) else self.alpha
         return alpha / 2 + 3 * sg / 2 + (self.m + 1) * sg
 
-    def ground_factor(self, x):
-        """psi0 = x^(m+1) exp(-sqrt(gamma) x^4 / 4); the similarity weight."""
-        x = np.asarray(x, dtype=float)
-        out = x ** (self.m + 1) * np.exp(-float(self.sqrt_gamma) * x**4 / 4.0)
-        return out if out.ndim else float(out)
-
 
 def qes_condition(n: int, m, gamma) -> float:
     """The alpha that closes an n-indexed polynomial sector.

@@ -267,8 +267,18 @@ def test_numeric_flags_take_fractions(capsys):
     "qes condition --n 2 --gamma -1",
     "density --n 2 --Z 1 --grid 0:4:3 --beta -1",
     "qes variational --nodes 1 --sextic-m -2 --bracket 0:3",
+    "solve --n 2 --Z nan",
+    "solve --n 2 --Z inf",
+    "qes variational --nodes 1 --alpha nan",
+    "qes map --gamma 1 --alpha abc --E 1",
+    "qes map --gamma 1 --alpha 1 --E abc",
+    "density --n 2 --Z 1 --grid 0:4:3 --quad-tol -1",
+    "density --n 2 --Z 1 --grid 0:4:3 --quad-tol 0",
+    "density --n 2 --Z 1 --grid 0:4:3 --quad-tol nan",
 ])
 def test_out_of_range_values_are_config_errors(capsys, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == 2
     assert err.startswith("error: ")
+    if "abc" in argv.split():
+        assert err == "error: not a number: 'abc'\n"

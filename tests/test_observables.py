@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
 
 from hookium import hooke, observables
 from hookium.integrate import QuadratureNonConvergence, adaptive_quad
@@ -89,6 +91,50 @@ def test_density_quadrature_unreachable_tolerance():
     with pytest.raises(QuadratureNonConvergence):
         observables.density_quadrature(wf, cm, np.array([0.5]),
                                        tol_abs=1e-30, tol_rel=1e-27)
+
+
+def _oracle_density(wf, beta, r, angular):
+    """n(r) at one point by adaptive quadrature, independent of the Gauss rule."""
+    if angular == "bessel":
+        def kernel(z):
+            return scipy.special.i0e(z)
+    else:
+        def kernel(z):
+            val, _ = scipy.integrate.quad(lambda t: math.exp(-z * (1.0 - math.cos(t))),
+                                          0.0, math.pi, epsabs=1e-13, epsrel=1e-12, limit=200)
+            return val / math.pi
+
+    def f(rp):
+        return wf.u_squared(rp) * math.exp(-beta * (r - 0.5 * rp) ** 2) * kernel(beta * r * rp)
+
+    rmax = wf.support_radius(160.0) + 2.0 * r + math.sqrt(160.0 / beta)
+    val, _ = adaptive_quad(f, 0.0, rmax, tol_abs=1e-15, tol_rel=1e-12, limit=400,
+                           points=[2.0 * r, math.sqrt((wf.m_abs + 0.5) / wf.omega)])
+    return (2.0 * beta / math.pi) * val
+
+
+ORACLE_BRANCHES = [(c.n, c.m, c.branch_Z, 0) for c in observables.CATALOG.values()] \
+    + [(5, 3, -1, 1)]
+
+
+@pytest.mark.parametrize("branch", ORACLE_BRANCHES, ids=lambda b: "n%d,m%d,Z%d,i%d" % b)
+@pytest.mark.parametrize("beta_factor", [1, 4])
+@pytest.mark.parametrize("angular", ["bessel", "numeric"])
+def test_density_rule_matches_adaptive_oracle(branch, beta_factor, angular):
+    n, m, Z, index = branch
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(n, m, Z)[index])
+    beta = beta_factor * wf.omega
+    grid = np.linspace(0.0, wf.support_radius(30.0), 13)
+    # the numeric route's normalization is a (radius x radius x angle) product that
+    # takes seconds; its values are checked, the bessel route checks the scale
+    prof = observables.density_quadrature(wf, hooke.CenterOfMassState(beta=beta), grid,
+                                          angular=angular, normalize=angular == "bessel")
+    assert abs(prof.scale_applied - 1.0) <= 1e-12
+    want = np.array([_oracle_density(wf, beta, float(r), angular) for r in grid])
+    mask = want >= 1e-8 * want.max()
+    assert mask.sum() >= 8
+    rel = np.abs(prof.values[mask] - want[mask]) / want[mask]
+    assert rel.max() <= 1e-11
 
 
 def test_closed_form_normalization():
