@@ -229,7 +229,7 @@ def cmd_density(args) -> int:
             raise ConfigError("--method both needs --case")
         cmp = observables.compare_density_routes(case, grid, fit_width=not args.no_fit,
                                                  angular=args.angular)
-        closed = observables.closed_form_density(case, grid)
+        closed = cmp.closed
         quad = dataclasses.replace(closed, values=cmp.quadrature_values,
                                    method=f"quadrature-{args.angular}",
                                    beta=cmp.beta_used, scale_applied=1.0)

@@ -317,7 +317,7 @@ class DensityComparison:
 
     case_id: str
     grid: np.ndarray
-    closed_values: np.ndarray
+    closed: DensityProfile
     quadrature_values: np.ndarray
     max_rel_deviation: float
     fit: CmWidthFit | None
@@ -352,7 +352,7 @@ def compare_density_routes(case, grid=None, *, fit_width: bool = True,
     mask = quad_vals >= 1e-8 * peak
     dev = float(np.max(np.abs(quad_vals[mask] - closed.values[mask]) / quad_vals[mask]))
     return DensityComparison(case_id=case.case_id, grid=grid,
-                             closed_values=closed.values, quadrature_values=quad_vals,
+                             closed=closed, quadrature_values=quad_vals,
                              max_rel_deviation=dev, fit=fit, beta_used=beta)
 
 

@@ -3,6 +3,9 @@
 The solver pipeline runs its recurrences over Fraction coefficients so that
 quantization polynomials come out exact; the same class doubles as the value
 type for series coefficients when a coupling is carried as a formal symbol.
+The root tools work on one private integer form, p = P / D with P a list of
+ints, so Sturm chains, rational-root tests and Newton polish stay exact without
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -158,16 +161,6 @@ class Poly:
     def as_floats(self) -> "Poly":
         return Poly([float(c) for c in self.coeffs])
 
-    def content_normalized(self) -> "Poly":
-        """Divide by the gcd of numerators over lcm of denominators (sign kept)."""
-        fracs = [Fraction(c) for c in self.coeffs]
-        if not fracs:
-            return self
-        den = math.lcm(*(f.denominator for f in fracs))
-        nums = [int(f * den) for f in fracs]
-        g = math.gcd(*(abs(n) for n in nums))
-        return Poly([Fraction(n, g) for n in nums]) if g else self
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
@@ -188,30 +181,78 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sturm_chain(p: Poly):
-    p = p.as_fractions()
-    d = p.derivative()
-    chain = [p, d]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, rem = divmod(chain[-2], chain[-1])
-        if rem.is_zero():
+def _integer_form(p: Poly):
+    """(P, D) with p = P / D: P a list of ints, D > 0 the least common denominator.
+
+    Float coefficients enter as their binary rationals.
+    """
+    fracs = [Fraction(c) for c in p.coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _scaled_value(P, num: int, den: int) -> int:
+    """den**deg(P) * P(num / den), exactly: the homogeneous Horner sum."""
+    acc = P[-1]
+    den_pow = den
+    for c in reversed(P[:-1]):
+        acc = acc * num + c * den_pow
+        den_pow *= den
+    return acc
+
+
+def _derivative(P):
+    return [i * c for i, c in enumerate(P)][1:]
+
+
+def _primitive(P):
+    g = math.gcd(*P)
+    return [c // g for c in P]
+
+
+def _pseudo_remainder(a, b):
+    """|lc(b)|**(deg a - deg b + 1) * a mod b over the integers.
+
+    The multiplier is positive, so the remainder has the signs of the true one.
+    """
+    n = len(b) - 1
+    scale = abs(b[-1])
+    sgn = 1 if b[-1] > 0 else -1
+    r = list(a)
+    for k in range(len(a) - 1 - n, -1, -1):
+        top = r[k + n] * sgn
+        r = [c * scale for c in r[:k + n]]
+        if top:
+            for i in range(n):
+                r[k + i] -= top * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _sturm_chain(P):
+    """Primitive Sturm sequence of the integer polynomial P (degree >= 1).
+
+    Each member is a positive multiple of the classical one (Collins' primitive
+    remainder sequence), so the sign pattern at every point is the same.
+    """
+    chain = [_primitive(P), _primitive(_derivative(P))]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_remainder(chain[-2], chain[-1])
+        if not rem:
             break
-        # keep coefficients small; scaling by a positive rational is harmless
-        chain.append((-rem).content_normalized())
-    return [q for q in chain if not q.is_zero()]
+        chain.append(_primitive([-c for c in rem]))
+    return chain
 
 
 def _variations(chain, x) -> int:
-    signs = []
-    for q in chain:
-        if x is math.inf:
-            s = _sign(q.leading)
-        elif x is -math.inf:
-            s = _sign(q.leading) * (-1 if q.degree % 2 else 1)
-        else:
-            s = _sign(q(x))
-        if s:
-            signs.append(s)
+    if x == math.inf:
+        signs = [_sign(q[-1]) for q in chain]
+    elif x == -math.inf:
+        signs = [_sign(q[-1]) * (-1) ** (len(q) - 1) for q in chain]
+    else:
+        signs = [_sign(_scaled_value(q, x.numerator, x.denominator)) for q in chain]
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -221,43 +262,36 @@ def sturm_count(p: Poly, lo, hi) -> int:
     Endpoints may be +-math.inf; finite endpoints are evaluated exactly when
     given as rationals. The count ignores multiplicity.
     """
-    p = p.as_fractions()
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
+    P, _ = _integer_form(p)
+    if len(P) == 1:
         return 0
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(P)
     lo_x = lo if lo in (math.inf, -math.inf) else Fraction(lo)
     hi_x = hi if hi in (math.inf, -math.inf) else Fraction(hi)
     return _variations(chain, lo_x) - _variations(chain, hi_x)
 
 
-def _rational_root_candidates(p: Poly):
-    den = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
-    ints = [int(Fraction(c) * den) for c in p.coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return
-    a0, an = abs(ints[0]), abs(ints[-1])
+def _divisors(n: int):
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            out.append(n // i)
+        i += 1
+    return sorted(set(out))
+
+
+def _rational_root_candidates(P):
+    """Candidates (num, den) for the rational roots of P, which has P[0] != 0."""
+    a0, an = abs(P[0]), abs(P[-1])
     if a0 > 10**12 or an > 10**12:
         # divisor enumeration is hopeless; callers fall back to numerics
-        return
-
-    def divisors(n):
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.append(i)
-                out.append(n // i)
-            i += 1
-        return sorted(set(out))
-
-    for num in divisors(a0):
-        for d in divisors(an):
-            yield Fraction(num, d)
-            yield Fraction(-num, d)
+        return []
+    dens = _divisors(an)
+    return [(s * num, d) for num in _divisors(a0) for d in dens for s in (1, -1)]
 
 
 def real_roots(p: Poly, polish_steps: int = 4):
@@ -276,36 +310,32 @@ def real_roots(p: Poly, polish_steps: int = 4):
     while p.degree > 0 and not p.coeffs[0]:
         rational.append(Fraction(0))
         p = Poly(p.coeffs[1:])
-    if inexact:
-        # float input: binary-expansion "rationals" are meaningless, go numeric
-        cands = []
-    else:
-        cands = None
+    P, D = _integer_form(p)
+    # float input: binary-expansion "rationals" are meaningless, go numeric
+    cands = [] if inexact or p.degree < 1 else _rational_root_candidates(P)
     while p.degree > 0:
-        if cands is None:
-            cands = [c for c in _rational_root_candidates(p)]
-        hit = None
-        for c in cands:
-            if p(c) == 0:
-                hit = c
-                break
+        hit = next((c for c in cands if not _scaled_value(P, *c)), None)
         if hit is None:
             break
-        rational.append(hit)
-        p, rem = divmod(p, Poly((-hit, Fraction(1))))
+        root = Fraction(*hit)
+        rational.append(root)
+        p, rem = divmod(p, Poly((-root, Fraction(1))))
         assert rem.is_zero()
+        P, D = _integer_form(p)
     irrational: list[float] = []
     if p.degree > 0:
         coeffs = [float(c) for c in p.coeffs]
         roots = np.roots(coeffs[::-1])
-        dp = p.derivative()
+        dP = _derivative(P)
         for z in roots:
             if abs(z.imag) >= 1e-10:
                 continue
             x = float(z.real)
             for _ in range(polish_steps):
-                fx = float(p(Fraction(x)))
-                dfx = float(dp(Fraction(x)))
+                # int / int rounds correctly, as float(Fraction) does
+                num, den = x.as_integer_ratio()
+                fx = _scaled_value(P, num, den) / (den ** (len(P) - 1) * D)
+                dfx = _scaled_value(dP, num, den) / (den ** (len(dP) - 1) * D)
                 if dfx == 0.0:
                     break
                 step = fx / dfx

@@ -6,6 +6,7 @@ import pytest
 
 from hookium import hooke
 from hookium.integrate import adaptive_quad
+from hookium.polyops import Poly
 from hookium.series import series_solve
 
 
@@ -109,6 +110,53 @@ def test_node_count_tables():
     for (n, Z), nodes in want.items():
         wfs = [hooke.build_wavefunction(b) for b in hooke.solve_frequencies(n, 0, Z)]
         assert [wf.nodes for wf in wfs] == nodes, (n, Z)
+
+
+def _ladder(n, m, Z):
+    """(nodes, oscillation-ladder count) per branch of (n, m, Z), descending omega.
+
+    The nodes are those of the r-polynomial exactly as build_wavefunction
+    builds it; the state itself is not built (its norm quadrature does not
+    converge for attractive branches from n = 9).
+    """
+    branches = hooke.solve_frequencies(n, m, Z)
+    B = len(branches)
+    out = []
+    for k, b in enumerate(branches):
+        exact = b.omega_exact is not None
+        w = b.omega_exact if exact else b.omega_tilde
+        Zc = Fraction(Z) if exact else b.Z
+        m_abs = Fraction(m) if exact else float(m)
+        poly = Poly(hooke.recurrence_coefficients(Zc, 2 * (n - 1), m_abs, n, w))
+        wf = hooke.RadialWavefunction(m_abs=float(m), omega=b.omega_tilde, Z=b.Z,
+                                      eps_rel=b.eps_rel, poly=poly, norm=1.0, branch=b)
+        out.append((wf.nodes, B - 1 - k if Z > 0 else n - B + k))
+    return out
+
+
+# The float r-polynomial of this branch has 15 positive roots where the ladder
+# wants 23 (CHANGES.md FOUND line on the node ladder); the count itself is exact.
+LADDER_BREAK = (24, 10, -1, 11)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(None, id="n2-24_m0,5,10_Z+-1"),
+    pytest.param(LADDER_BREAK, id="n24_m10_Z-1_branch11", marks=pytest.mark.xfail(
+        strict=True, reason="float r-polynomial loses roots (CHANGES.md FOUND)")),
+])
+def test_node_ladder(case):
+    # repulsive branch k of B has B-1-k nodes, attractive branch k has n-B+k
+    if case is not None:
+        n, m, Z, k = case
+        nodes, want = _ladder(n, m, Z)[k]
+        assert nodes == want
+        return
+    for n in range(2, 25):
+        for m in (0, 5, 10):
+            for Z in (1, -1):
+                for k, (nodes, want) in enumerate(_ladder(n, m, Z)):
+                    if (n, m, Z, k) != LADDER_BREAK:
+                        assert nodes == want, (n, m, Z, k)
 
 
 def test_reference_branch_energies():

@@ -1,8 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hookium import hooke
 from hookium.polyops import Poly, exact_sqrt, real_roots, sturm_count
 
 
@@ -92,6 +95,133 @@ def test_real_roots_huge_coefficients_do_not_hang():
         abs(float(r) - want) < 1e-3 for r in rational)
 
 
-def test_content_normalized_and_monic():
-    p = Poly([Fraction(2), Fraction(4)])
-    assert p.content_normalized() == Poly([Fraction(1), Fraction(2)])
+# Reference for the integer kernels: the Sturm chain, candidate test and
+# Newton polish written over Fraction coefficients, one Fraction operation at
+# a time. Only the +-inf test differs from a literal transcription: it compares
+# by value, because `x is -math.inf` is never true and Horner at a float -inf
+# overflows once the chain's coefficients pass the float range.
+
+def _ref_sturm_chain(p):
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        _, rem = divmod(chain[-2], chain[-1])
+        if rem.is_zero():
+            break
+        fracs = [-c for c in rem.coeffs]
+        den = math.lcm(*(f.denominator for f in fracs))
+        nums = [int(f * den) for f in fracs]
+        g = math.gcd(*nums)
+        chain.append(Poly([Fraction(k, g) for k in nums]))
+    return chain
+
+
+def _ref_variations(chain, x):
+    signs = []
+    for q in chain:
+        if x == math.inf:
+            v = q.leading
+        elif x == -math.inf:
+            v = q.leading * (-1) ** q.degree
+        else:
+            v = q(Fraction(x))
+        if v:
+            signs.append(v > 0)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_divisors(k):
+    small = [i for i in range(1, math.isqrt(k) + 1) if k % i == 0]
+    return sorted(set(small + [k // i for i in small]))
+
+
+def _ref_real_roots(p, polish_steps=4):
+    inexact = any(isinstance(c, float) for c in p.coeffs)
+    p = p.as_fractions()
+    rational = []
+    while p.degree > 0 and not p.coeffs[0]:
+        rational.append(Fraction(0))
+        p = Poly(p.coeffs[1:])
+    cands = []
+    if not inexact and p.degree > 0:
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        a0, an = (abs(int(c * den)) for c in (p.coeffs[0], p.coeffs[-1]))
+        if max(a0, an) <= 10**12:
+            cands = [Fraction(s * k, d) for k in _ref_divisors(a0)
+                     for d in _ref_divisors(an) for s in (1, -1)]
+    while p.degree > 0:
+        hit = next((c for c in cands if p(c) == 0), None)
+        if hit is None:
+            break
+        rational.append(hit)
+        p, _ = divmod(p, Poly((-hit, Fraction(1))))
+    irrational = []
+    if p.degree > 0:
+        dp = p.derivative()
+        for z in np.roots([float(c) for c in p.coeffs][::-1]):
+            if abs(z.imag) >= 1e-10:
+                continue
+            x = float(z.real)
+            for _ in range(polish_steps):
+                fx, dfx = float(p(Fraction(x))), float(dp(Fraction(x)))
+                if dfx == 0.0:
+                    break
+                step = fx / dfx
+                x -= step
+                if abs(step) <= 1e-17 * max(1.0, abs(x)):
+                    break
+            irrational.append(x)
+    return sorted(rational), sorted(irrational)
+
+
+def _oracle_polys():
+    """Quantization s-polynomials and r-polynomials (n <= 16), then seeded random
+    ones: products with repeated rational roots, their float copies, sparse ones."""
+    for n in range(2, 17):
+        for m in (0, 3):
+            q = hooke.quantization_polynomial(n, m)
+            even, odd = q.even_odd_parts()
+            yield odd if n % 2 else even
+        for Z in (1, -1):
+            for b in hooke.solve_frequencies(n, 0, Z):
+                # the r-polynomial as build_wavefunction builds it
+                exact = b.omega_exact is not None
+                w = b.omega_exact if exact else b.omega_tilde
+                Zc = Fraction(Z) if exact else b.Z
+                m_abs = Fraction(0) if exact else 0.0
+                yield Poly(hooke.recurrence_coefficients(Zc, 2 * (n - 1), m_abs, n, w))
+    rng = random.Random(20261018)
+    for trial in range(150):
+        p = Poly([Fraction(rng.choice([-2, -1, 1, 3]))])
+        for _ in range(rng.randint(1, 4)):
+            r = Poly([Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(-1)])
+            p = p * r if rng.random() < 0.5 else p * r * r
+        extra = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+        p = p * Poly(extra + [Fraction(rng.choice([-1, 1, 2]))])
+        if trial % 3 == 1:
+            # float coefficients: the same polynomial a few ulps off
+            p = Poly([float(c) * (1.0 + rng.uniform(-1e-12, 1e-12)) for c in p.coeffs])
+        yield p
+    for trial in range(60):
+        # sparse: remainders skip degrees, so |lc|'s odd powers meet either sign
+        body = [Fraction(rng.choice([-3, -2, -1, 0, 0, 0, 1, 2, 3])) for _ in range(rng.randint(2, 7))]
+        yield Poly(body + [Fraction(rng.choice([-2, -1, 1, 2]))])
+
+
+def test_integer_kernels_match_fraction_reference():
+    finite = [(Fraction(-1, 3), Fraction(5, 2)), (Fraction(-7, 2), Fraction(3, 4)),
+              (Fraction(0), Fraction(1, 8))]
+    ends = [(0, math.inf), (float("-inf"), float("inf")), (-math.inf, 0)] + finite
+    seen = 0
+    for p in _oracle_polys():
+        if p.degree < 1:
+            continue
+        chain = _ref_sturm_chain(p.as_fractions())
+        for lo, hi in ends:
+            want = _ref_variations(chain, lo) - _ref_variations(chain, hi)
+            assert sturm_count(p, lo, hi) == want, (p, lo, hi)
+        rational, irrational = real_roots(p)
+        ref_rational, ref_irrational = _ref_real_roots(p)
+        assert rational == ref_rational, p
+        assert [x.hex() for x in irrational] == [x.hex() for x in ref_irrational], p
+        seen += 1
+    assert seen > 350
