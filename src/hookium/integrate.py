@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import scipy.integrate
@@ -12,18 +13,35 @@ __all__ = ["QuadratureNonConvergence", "adaptive_quad", "gauss_legendre"]
 
 
 def _legendre_rule(n: int):
-    """n-point Gauss-Legendre nodes and weights by Newton's method on the recurrence.
+    """n-point Gauss-Legendre nodes and weights (n even), correctly rounded.
 
-    An eigensolver (numpy's leggauss) would page in about 1 MB of LAPACK code.
+    Newton's method on the recurrence in floats, then two Newton steps at 36
+    digits in `decimal` on the positive nodes, mirrored to the negative ones.
+    The weights 2 (1 - x^2) / (n P_{n-1}(x))^2 are taken at that precision,
+    since in floats 1 - x^2 cancels near +-1 and costs single weights up to
+    1e-13. An eigensolver (numpy's leggauss) would page in about 1 MB of
+    LAPACK code.
     """
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(8):
-        p0, p1 = np.ones_like(x), x
+    def legendre(x):
+        """(P_n(x), P_{n-1}(x)) for a float array or a Decimal x."""
+        p0, p1 = 1, x
         for k in range(2, n + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        x = x - p1 / dp
-    return x, 2 / ((1 - x * x) * dp * dp)
+        return p1, p0
+
+    def newton(x):
+        p1, p0 = legendre(x)
+        return x - p1 * (x * x - 1) / (n * (x * p1 - p0))
+
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        x = newton(x)
+    with localcontext() as ctx:
+        ctx.prec = 36
+        t = [newton(newton(Decimal(v))) for v in x[n // 2:]]
+        w = np.array([float(2 * (1 - v * v) / (n * legendre(v)[1]) ** 2) for v in t])
+    t = np.array([float(v) for v in t])
+    return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
 
 
 _GL_X, _GL_W = _legendre_rule(48)

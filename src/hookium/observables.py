@@ -25,7 +25,7 @@ from .hooke import (
     build_wavefunction,
     solve_frequencies,
 )
-from .integrate import adaptive_quad, gauss_legendre
+from .integrate import _GL_W, _GL_X, _check_budget, gauss_legendre
 from .polyops import real_roots
 
 __all__ = [
@@ -421,32 +421,68 @@ def _polynomial_node_hints(wf: RadialWavefunction) -> list[float]:
     return [float(r) for r in rational if r > 0] + [r for r in irrational if r > 0]
 
 
+_GRADING = 0.15 ** np.arange(6, 0, -1)   # geometric steps toward an end at 0 or a node
+
+
+def _entropy_edges(wf: RadialWavefunction) -> np.ndarray:
+    """Panel edges on [0, R], R = support_radius(140), graded at the origin and the nodes.
+
+    The breaks are 0, each positive node, min(6/sqrt(omega), R) and R. Each
+    interval is graded geometrically toward each end at 0 or at a node; with
+    both ends such points, each side takes half the interval.
+    """
+    R = wf.support_radius(140.0)
+    singular = {0.0, *(r for r in _polynomial_node_hints(wf) if r < R)}
+    breaks = sorted(singular | {min(6.0 / math.sqrt(wf.omega), R), R})
+    edges = [0.0]
+    for a, b in zip(breaks, breaks[1:]):
+        lo, hi = a in singular, b in singular
+        h = (b - a) / (2 if lo and hi else 1)
+        if lo:
+            edges.extend(a + h * _GRADING)
+        if lo and hi:
+            edges.append(a + h)
+        if hi:
+            edges.extend(b - h * _GRADING[::-1])
+        edges.append(b)
+    return np.array(edges)
+
+
+def _entropy_on(wf: RadialWavefunction, edges: np.ndarray, total) -> float:
+    """S from the rule's four moments on the panels; `total` sums one moment's terms."""
+    half = 0.5 * np.diff(edges)[:, None]
+    r = edges[:-1, None] + half * (1.0 + _GL_X)
+    p2 = wf.poly(r) ** 2
+    q = half * _GL_W * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1) * p2
+    spread = wf.omega * total((q * (r * r)).ravel())
+    if wf.m_abs:
+        spread -= 2 * wf.m_abs * total((q * np.log(r)).ravel())
+    spread -= total((q * np.log(np.where(p2 > 0.0, p2, 1.0))).ravel())
+    return math.log(2.0 * math.pi / wf.norm**2) + spread / total(q.ravel())
+
+
 def total_entropy(wf: RadialWavefunction, *, tol_abs: float = 1e-10,
                   tol_rel: float = 1e-9) -> float:
     """Position-space Shannon entropy S = -int u^2 ln(u^2/(2 pi r)) dr.
 
-    This is the planar integral -int G ln G d^2r reduced to the radius. The
-    ln(1/r) factor at the origin is integrable; the piece below r0 is taken in
-    the variable t = ln r where the integrand decays exponentially.
+    This is the planar integral -int G ln G d^2r reduced to the radius. With
+    u^2 = N^2 q, q = e^(-omega r^2) r^(2|m|+1) p(r)^2, the logarithm splits:
+    S = ln(2 pi / N^2) + (omega M2 - 2|m| L - P) / I over the moments
+    I = int q, M2 = int q r^2, L = int q ln r and P = int q ln p^2, so the
+    Gaussian and the power of r never pass through a float log. The moments
+    are one pass of the 48-point Gauss-Legendre rule over panels graded toward
+    the origin and the nodes of p, where q ln r and q ln p^2 are not smooth,
+    and one over their bisection. The finer value is returned;
+    QuadratureNonConvergence is raised when the two differ by more than
+    max(tol_abs, tol_rel |S|).
     """
-    w = wf.omega
-
-    def f(r: float) -> float:
-        g_rad = wf.density_radial(r)
-        if g_rad <= 0.0:
-            return 0.0
-        return -g_rad * r * math.log(g_rad / (2.0 * math.pi))
-
-    r0 = 0.05 / math.sqrt(w)
-    t_lo = -60.0 / (2.0 * wf.m_abs + 1.0)
-    near, _ = adaptive_quad(lambda t: f(math.exp(t)) * math.exp(t),
-                            t_lo + math.log(r0), math.log(r0),
-                            tol_abs=tol_abs / 2, tol_rel=tol_rel)
-    rmax = wf.support_radius(140.0)
-    hints = [h for h in _polynomial_node_hints(wf) if r0 < h < rmax]
-    far, _ = adaptive_quad(f, r0, rmax, tol_abs=tol_abs / 2, tol_rel=tol_rel,
-                           limit=400, points=hints + [1.0 / math.sqrt(w)])
-    return near + far
+    edges = _entropy_edges(wf)
+    fine = np.empty(2 * edges.size - 1)
+    fine[0::2], fine[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    # the returned pass is summed exactly; the coarse one only sizes the error
+    value = _entropy_on(wf, fine, lambda v: math.fsum(v.tolist()))
+    _check_budget(value, abs(value - _entropy_on(wf, edges, np.sum)), tol_abs, tol_rel)
+    return value
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,12 @@ def test_entropy_scan_golden(capsys):
     assert code == 0
     assert out == (
         "m,omega,Z,entropy\n"
-        "2,0.022727272727272728,-1,7.3428036045891529\n"
-        "2,0.022727272727272728,1,6.9942817548613681\n"
-        "1,0.035714285714285712,-1,6.7227932741249479\n"
-        "1,0.035714285714285712,1,6.3879130875077985\n"
-        "0,0.083333333333333329,-1,5.6637388883514213\n"
-        "0,0.083333333333333329,1,5.3368969004721984\n")
+        "2,0.022727272727272728,-1,7.3428036045892444\n"
+        "2,0.022727272727272728,1,6.9942817548613654\n"
+        "1,0.035714285714285712,-1,6.7227932741253191\n"
+        "1,0.035714285714285712,1,6.3879130875077976\n"
+        "0,0.083333333333333329,-1,5.6637388883517001\n"
+        "0,0.083333333333333329,1,5.3368969004721976\n")
 
 
 def test_entropy_free_oscillator_golden(capsys):

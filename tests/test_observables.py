@@ -201,6 +201,53 @@ def test_total_entropy_frozen_interacting():
     assert observables.total_entropy(wf) == pytest.approx(3.4815302748714427, abs=1e-10)
 
 
+def _oracle_entropy(wf):
+    """S by adaptive quadrature: in t = ln r below r0, then split at the nodes of p."""
+    def f(r):
+        g_rad = wf.density_radial(r)
+        if g_rad <= 0.0:
+            return 0.0
+        return -g_rad * r * math.log(g_rad / (2.0 * math.pi))
+
+    r0 = 0.05 / math.sqrt(wf.omega)
+    t_lo = -60.0 / (2.0 * wf.m_abs + 1.0)
+    near, _ = adaptive_quad(lambda t: f(math.exp(t)) * math.exp(t),
+                            t_lo + math.log(r0), math.log(r0), tol_abs=5e-11, tol_rel=1e-9)
+    rmax = wf.support_radius(140.0)
+    roots = np.polynomial.polynomial.polyroots([float(c) for c in wf.poly.coeffs])
+    nodes = [float(z.real) for z in np.atleast_1d(roots)
+             if abs(z.imag) <= 1e-9 * abs(z) and r0 < z.real < rmax]
+    far, _ = adaptive_quad(f, r0, rmax, tol_abs=5e-11, tol_rel=1e-9, limit=400,
+                           points=nodes + [1.0 / math.sqrt(wf.omega)])
+    return near + far
+
+
+@pytest.mark.parametrize("Z", [1, -1])
+@pytest.mark.parametrize("m", [0, 3, 10])
+@pytest.mark.parametrize("n", range(2, 15))
+def test_total_entropy_matches_adaptive_oracle(n, m, Z):
+    built = 0
+    for branch in hooke.solve_frequencies(n, m, Z):
+        try:
+            wf = hooke.build_wavefunction(branch)
+        except QuadratureNonConvergence:
+            continue   # the adaptive norm fails on some attractive branches
+        built += 1
+        assert observables.total_entropy(wf) == pytest.approx(_oracle_entropy(wf),
+                                                              rel=1e-10, abs=0.0)
+    assert built
+
+
+def test_total_entropy_tolerances():
+    # its P and 2P panel sums differ by 2.3e-13 relative, so a zero budget must fail
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(10, 3, -1)[4])
+    with pytest.raises(QuadratureNonConvergence):
+        observables.total_entropy(wf, tol_abs=1e-30, tol_rel=0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            observables.total_entropy(wf, tol_abs=bad)
+
+
 def test_entropy_scan_frozen_table():
     frozen = {
         (0, 1): 5.336897, (1, 1): 6.387913, (2, 1): 6.994282,
