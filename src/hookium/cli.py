@@ -369,8 +369,7 @@ def cmd_qes_variational(args) -> int:
     p = qes.SexticParams(alpha=float(parse_rational(args.alpha)),
                          gamma=parse_rational(args.gamma), m=parse_rational(args.sextic_m))
     bracket = parse_bracket(args.bracket) if args.bracket else None
-    vs = qes.variational_state(p, args.nodes, args.N, bracket,
-                               scan_points=args.scan_points)
+    vs = qes.variational_state(p, args.nodes, args.N, bracket)
     print(f"E_star = {format_number(vs.E_star)}")
     print(f"residual_norm = {format_number(vs.residual_norm)}")
     print(f"node_count = {vs.node_count}")
@@ -381,10 +380,6 @@ def cmd_qes_variational(args) -> int:
         nearest = min(exact, key=lambda e: abs(e - vs.E_star))
         print(f"nearest_exact = {format_number(nearest)}")
     return EXIT_OK
-
-
-def cmd_qes(args) -> int:
-    return args.qes_func(args)
 
 
 def cmd_verify(args) -> int:
@@ -539,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cond.add_argument("--n", type=int, help="sector index")
     p_cond.add_argument("--m", default="0", help="centrifugal index")
     p_cond.add_argument("--gamma", help="sextic coupling, e.g. 4/9")
-    p_cond.set_defaults(func=cmd_qes, qes_func=cmd_qes_condition)
+    p_cond.set_defaults(func=cmd_qes_condition)
     _LEAF_PARSERS["qes condition"] = p_cond
 
     p_map = qes_sub.add_parser("map", parents=[common],
@@ -552,21 +547,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--alpha", help="sextic side: quadratic coupling")
     p_map.add_argument("--E", help="sextic side: energy")
     p_map.add_argument("--sextic-m", default="0", help="sextic side: centrifugal index")
-    p_map.set_defaults(func=cmd_qes, qes_func=cmd_qes_map)
+    p_map.set_defaults(func=cmd_qes_map)
     _LEAF_PARSERS["qes map"] = p_map
 
     p_var = qes_sub.add_parser("variational", parents=[common],
-                               help="residual-minimizing energy at fixed node count")
+                               help="Rayleigh-Ritz level at fixed node count")
     p_var.add_argument("--gamma", default="1",
                        help="sextic coupling (defaults describe the repulsive "
                             "two-particle pair mapped through x^2 = r)")
     p_var.add_argument("--alpha", default="-8")
     p_var.add_argument("--sextic-m", default="-1/2")
-    p_var.add_argument("--nodes", type=int)
-    p_var.add_argument("--N", type=int, default=16, help="series truncation order")
-    p_var.add_argument("--bracket", default=None, help="'lo:hi' energy bracket")
-    p_var.add_argument("--scan-points", type=int, default=33)
-    p_var.set_defaults(func=cmd_qes, qes_func=cmd_qes_variational)
+    p_var.add_argument("--nodes", type=int, help="level index, equal to its node count")
+    p_var.add_argument("--N", type=int, default=16,
+                       help="series truncation order; the Ritz basis has at most "
+                            "N//2 + 1 functions")
+    p_var.add_argument("--bracket", default=None,
+                       help="'lo:hi' energy range the level must lie in")
+    p_var.set_defaults(func=cmd_qes_variational)
     _LEAF_PARSERS["qes variational"] = p_var
 
     p_verify = sub.add_parser("verify", parents=[common], help="named consistency checks")

@@ -7,8 +7,8 @@ The Hamiltonian
 is quasi-exactly solvable: with alpha pinned by qes_condition, a finite
 polynomial sector of eigenstates exists in closed form. The substitution
 x^2 = r turns H into the radial trap equation, giving an exact dictionary
-between the two problems. For energies outside the polynomial sector a
-variational estimator minimizes the normalized operator residual over E.
+between the two problems. Levels outside the polynomial sector come from
+Rayleigh-Ritz on the basis psi0 x^(2j), whose matrices are Gamma moments.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize as _sciopt
+from scipy import linalg as _linalg
 from scipy import special as _special
 
 from .hooke import RadialWavefunction, _is_rational, recurrence_coefficients
@@ -49,11 +49,11 @@ __all__ = [
 
 
 class NodeCountUnreachable(RuntimeError):
-    """No energy in the bracket produces the requested number of nodes."""
+    """The truncation gives no level whose eigen series has the requested number of nodes."""
 
 
 class BracketError(RuntimeError):
-    """The residual functional has no interior minimum on the bracket."""
+    """The requested level lies outside the given energy bracket."""
 
 
 def _sqrt_exact_or_float(value):
@@ -327,7 +327,11 @@ def node_count(series: PowerSeries, domain=(0.0, math.inf)) -> int:
 
 @dataclass(frozen=True)
 class VariationalState:
-    """Outcome of the residual-minimizing energy search."""
+    """The target_nodes-th Rayleigh-Ritz level and the eigen series evaluated there.
+
+    residual_norm is R(E_star) = ||(H - E_star) psi||^2 / ||psi||^2 for that
+    series truncated at x^N; node_count counts its zeros on (0, x_max).
+    """
 
     E_star: float
     series: PowerSeries
@@ -342,11 +346,13 @@ def _x_max(p: SexticParams) -> float:
 
 
 def _inner(p: SexticParams, f: PowerSeries, g: PowerSeries) -> float:
-    """<f, g> = int_0^inf psi0^2 f g dx for polynomial series f, g (neither zero).
+    """<f, g> = int_0^inf psi0^2 f g dx for polynomial series f, g (zero if either is).
 
     With psi0^2 = x^(2m+2) exp(-b x^4), b = sqrt(gamma)/2, the pair x^i, x^j
     contributes the Gamma moment Gamma(k) / (4 b^k), k = (2m + 3 + i + j)/4.
     """
+    if f.is_zero() or g.is_zero():
+        return 0.0
     fg = np.convolve([float(c) for c in f.coeffs], [float(c) for c in g.coeffs])
     k = (2.0 * float(p.m) + 3.0 + float(f.base + g.base) + np.arange(fg.size)) / 4.0
     if k[0] <= 0:
@@ -377,91 +383,77 @@ def _trial_state(p: SexticParams, E, N: int):
 def _residual_functional(p: SexticParams, E: float, N: int):
     """R(E) = ||(H - E) psi||^2 / ||psi||^2 with psi = psi0 * truncated eigen series."""
     u, resid, norm = _trial_state(p, E, N)
-    if resid.is_zero():
-        return 0.0, u, norm
     return _inner(p, resid, resid) / norm, u, norm
 
 
 def rayleigh_quotient(p: SexticParams, E: float, N: int) -> float:
-    """<psi_E|(H - E)|psi_E> / <psi_E|psi_E>; zero-crossings locate candidate energies."""
+    """<psi_E|(H - E)|psi_E> / <psi_E|psi_E> for the truncated eigen series at E."""
     u, resid, norm = _trial_state(p, E, N)
-    if resid.is_zero():
-        return 0.0
     return _inner(p, u, resid) / norm
 
 
-def _default_bracket(p: SexticParams) -> tuple:
-    levels = sector_energies(p)
-    if len(levels) < 2:
-        raise ValueError("no default bracket: sector has fewer than two exact levels")
-    spacing = max(b - a for a, b in zip(levels, levels[1:]))
-    return (0.0, 3.0 * spacing)
+# Cholesky pivots of the unit-diagonal Gram matrix (each basis function's squared
+# distance from the span of the earlier ones) shrink about 5x per function down
+# to ~1e-11, where rounding in the Gamma moments takes over. Past that point the
+# generalized eigenvalues go spurious: cut only where S stops being positive
+# definite (15-18 functions for m in {-1/2, 0, 1}), 89 of the 1,890 sector-grid
+# searches returned levels off by up to 58 and 14 raised LinAlgError. Keeping
+# pivots >= 1e-10 leaves 14 functions at m = -1/2 and 0, 13 at m = 1, 11 at m = 10.
+_RITZ_PIVOT_FLOOR = 1e-10
+
+
+def _ritz_levels(p: SexticParams, N: int) -> np.ndarray:
+    """Rayleigh-Ritz values of H on the basis psi0 x^(2j), j = 0..N//2, ascending.
+
+    S_ij = <x^(2i), x^(2j)> and H_ij = <x^(2i), H_red x^(2j)> are Gamma moments,
+    H_red x^(2j) = -j (2j+1+2m) x^(2j-2) + (2j sqrt(gamma) + A) x^(2j+2). The k-th
+    value bounds the k-th level from above and is exact once the basis holds
+    the sector state (Hylleraas-Undheim, MacDonald). S is scaled to unit
+    diagonal, and the basis stops at the first Cholesky pivot of S below
+    _RITZ_PIVOT_FLOOR, so a large N can return fewer than N//2 + 1 values.
+    """
+    sg, A, m = float(p.sqrt_gamma), float(p.A), float(p.m)
+    size = N // 2 + 1
+    basis = [PowerSeries(2 * j, [1]) for j in range(size)]
+    images = [PowerSeries(2 * j - 2, [-j * (2 * j + 1 + 2 * m), 0, 0, 0, 2 * j * sg + A])
+              for j in range(size)]
+    S = np.array([[_inner(p, f, g) for g in basis] for f in basis])
+    H = np.array([[_inner(p, f, h) for h in images] for f in basis])
+    scale = 1.0 / np.sqrt(np.diag(S))
+    S, H = S * np.outer(scale, scale), H * np.outer(scale, scale)
+    L, info = _linalg.lapack.dpotrf(S, lower=1)  # info > 0: the block of order info is not PD
+    pivots = np.diag(L)[:info - 1 if info else size] ** 2
+    small = np.flatnonzero(pivots < _RITZ_PIVOT_FLOOR)
+    keep = small[0] if small.size else pivots.size
+    return _linalg.eigh(H[:keep, :keep], S[:keep, :keep], eigvals_only=True)
 
 
 def variational_state(p: SexticParams, target_nodes: int, N: int,
-                      E_bracket: tuple | None = None, *, scan_points: int = 33,
-                      tol: float = 1e-10) -> VariationalState:
-    """Minimize R(E) over energies whose trial state has the requested node count.
+                      E_bracket: tuple | None = None, *, scan_points=None) -> VariationalState:
+    """The level with target_nodes nodes, as a Rayleigh-Ritz value on <= N//2 + 1 functions.
 
-    A scan over the bracket finds the window with target_nodes zeros of the
-    trial series on (0, x_max); the window's interior residual minimum is then
-    refined by bounded golden-section/parabolic search to `tol` in E.
+    E_star is the target_nodes-th value of _ritz_levels(p, N); the eigen series
+    through x^N at E_star must have target_nodes zeros on (0, x_max). A given
+    E_bracket only checks that it contains E_star. scan_points is accepted and
+    unused (there is no energy scan).
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if scan_points < 2:
-        raise ValueError("scan_points must be >= 2")
-    if E_bracket is None:
-        E_bracket = _default_bracket(p)
-    lo, hi = float(E_bracket[0]), float(E_bracket[1])
+    lo, hi = (-math.inf, math.inf) if E_bracket is None else map(float, E_bracket)
     if not hi > lo:
         raise ValueError("empty bracket")
-    x_max = _x_max(p)
-    Es = np.linspace(lo, hi, scan_points)
-    matches = []
-    for Ev in Es:
-        u = qes_eigen_series(float(Ev), p, N)
-        if node_count(u, (0.0, x_max)) == target_nodes:
-            matches.append(float(Ev))
-    if not matches:
+    levels = _ritz_levels(p, N)
+    if target_nodes >= len(levels):
         raise NodeCountUnreachable(
-            f"no E in [{lo!r}, {hi!r}] gives {target_nodes} nodes at truncation N={N}")
-    rvals = {}
-    for Ev in matches:
-        rvals[Ev], _, _ = _residual_functional(p, Ev, N)
-    best = min(matches, key=lambda e: rvals[e])
-    step = (hi - lo) / (scan_points - 1)
-    left, right = max(best - step, lo), min(best + step, hi)
-    r_left = _residual_functional(p, left, N)[0] if left < best else math.inf
-    r_right = _residual_functional(p, right, N)[0] if right > best else math.inf
-    if rvals[best] > min(r_left, r_right):
-        raise BracketError("residual functional has no interior minimum near the node window")
-    # the quotient <psi|(H-E)psi>/<psi|psi> crosses zero linearly where the
-    # residual bottoms out quadratically, so its root is the sharper locator
-    rq_l = rayleigh_quotient(p, left, N)
-    rq_r = rayleigh_quotient(p, right, N)
-    if rq_l == 0.0:
-        E_star = left
-    elif rq_r == 0.0:
-        E_star = right
-    elif rq_l * rq_r < 0:
-        E_star = float(_sciopt.brentq(lambda e: rayleigh_quotient(p, float(e), N),
-                                      left, right, xtol=tol))
-    else:
-        res = _sciopt.minimize_scalar(
-            lambda e: _residual_functional(p, float(e), N)[0],
-            bounds=(left, right), method="bounded", options={"xatol": tol})
-        E_star = float(res.x)
-        # a result hugging the user's bracket edge means the true minimum
-        # lies outside the bracket, not that the search converged there
-        edge_pad = max(100.0 * tol, 1e-6 * (hi - lo))
-        if E_star - lo < edge_pad or hi - E_star < edge_pad:
-            raise BracketError(
-                f"residual minimum pinned at bracket edge near E={E_star!r}; widen E_bracket")
+            f"truncation N={N} gives {len(levels)} Ritz levels, too few for {target_nodes} nodes")
+    E_star = float(levels[target_nodes])
+    if not lo <= E_star <= hi:
+        raise BracketError(f"level {target_nodes} at E={E_star!r} lies outside [{lo!r}, {hi!r}]")
     r_star, u_star, _ = _residual_functional(p, E_star, N)
-    nodes = node_count(u_star, (0.0, x_max))
+    nodes = node_count(u_star, (0.0, _x_max(p)))
     if nodes != target_nodes:
         raise NodeCountUnreachable(
-            f"refined energy {E_star!r} drifted to {nodes} nodes (wanted {target_nodes})")
-    return VariationalState(E_star=E_star, series=u_star.truncated(N),
+            f"eigen series at Ritz level {target_nodes}, E={E_star!r}, has {nodes} nodes "
+            f"at truncation N={N}")
+    return VariationalState(E_star=E_star, series=u_star,
                             node_count=nodes, residual_norm=r_star)

@@ -233,7 +233,7 @@ def _check_qes_mapped_residual():
 
 def _check_variational_recovery():
     p = qes.SexticParams(alpha=-8.0, gamma=1.0, m=-0.5)
-    vs = qes.variational_state(p, 1, 12, E_bracket=(1.0, 3.0), scan_points=9)
+    vs = qes.variational_state(p, 1, 12, E_bracket=(1.0, 3.0))
     ok = abs(vs.E_star - 2.0) < 1e-8 and vs.residual_norm < 1e-12
     return _result("variational-recovery", ok,
                    f"E*={vs.E_star!r}, R={vs.residual_norm:.2e}")

@@ -201,6 +201,38 @@ def test_variational_bracket_excludes_minimum(mapped_sector):
                               scan_points=9)
 
 
+SECTOR_GAMMAS = (Fraction(1, 4), Fraction(4, 9), Fraction(1), Fraction(9, 4), Fraction(4))
+
+
+@pytest.mark.parametrize("n", (0, 2, 4, 6, 8))  # n = 0 has A = 0: H_red 1 is the zero series
+@pytest.mark.parametrize("m", (Fraction(-1, 2), Fraction(0), Fraction(1)))
+def test_variational_finds_every_sector_level(m, n):
+    for gamma in SECTOR_GAMMAS:
+        p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
+        for k, level in enumerate(qes.sector_energies(p)):
+            for N in (12, 16, 24):
+                vs = qes.variational_state(p, k, N)
+                assert abs(vs.E_star - level) <= 1e-8, (gamma, k, N)
+                assert vs.node_count == k, (gamma, k, N)
+
+
+@pytest.mark.parametrize("k, level", ((0, -2.44194036), (1, 1.65920619)))
+def test_variational_off_sector_converges_from_above(k, level):
+    p = qes.SexticParams(alpha=-8.7, gamma=1.0, m=-0.5)
+    coarse = qes.variational_state(p, k, 16).E_star
+    fine = qes.variational_state(p, k, 24).E_star
+    assert 0.0 <= coarse - fine <= 1e-8
+    assert fine == pytest.approx(level, abs=1e-8)
+
+
+@pytest.mark.parametrize("N", (32, 40))
+def test_variational_large_truncation_caps_basis(mapped_sector, N):
+    assert len(qes._ritz_levels(mapped_sector, N)) < N // 2 + 1
+    vs = qes.variational_state(mapped_sector, 1, N)
+    assert abs(vs.E_star - 2.0) <= 1e-8
+    assert vs.node_count == 1
+
+
 def test_dictionary_round_trip():
     br = hooke.solve_frequencies(2, 0, -1)[0]
     inv = qes.map_from_hooke(br)
