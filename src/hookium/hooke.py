@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .integrate import adaptive_quad
-from .polyops import Poly, real_roots, sturm_count
+from .integrate import QuadratureNonConvergence, gauss_legendre
+from .polyops import Poly, _compensated_horner, _integer_form, _scaled_value, real_roots, sturm_count
 from .series import EulerPolynomial, MonomialOperator
 
 __all__ = [
@@ -301,16 +303,111 @@ class RadialWavefunction:
         return sturm_count(self.poly.as_fractions(), 0, math.inf)
 
 
+@lru_cache(maxsize=None)
+def _pi(prec: int) -> Decimal:
+    """pi to prec digits, by the series recipe of the `decimal` documentation."""
+    with localcontext() as ctx:
+        ctx.prec = prec + 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        ctx.prec = prec
+        return +s
+
+
+def _moment_sums(a: int, omega, poly: Poly):
+    """(E_int, O_int, L) with E = E_int / L and O = O_int / L exactly; see _norm_constant.
+
+    Float coefficients and a float omega enter as their binary rationals.
+    """
+    P, D = _integer_form(poly)
+    sq = [0] * (2 * len(P) - 1)
+    for i, x in enumerate(P):
+        for j, y in enumerate(P):
+            sq[i + j] += x * y
+    # even lags times (a)_j; odd lags times 2^j (a + 1/2)_j = (2a+1)(2a+3)...(2a+2j-1)
+    even, odd, rise_e, rise_o = [], [], 1, 1
+    for j, c in enumerate(sq[0::2]):
+        even.append(c * rise_e)
+        rise_e *= a + j
+    for j, c in enumerate(sq[1::2]):
+        odd.append(c * rise_o)
+        rise_o *= 2 * a + 1 + 2 * j
+    wn, wd = Fraction(omega).as_integer_ratio()
+    de, do = len(even) - 1, max(len(odd) - 1, 0)
+    # _scaled_value(Q, wd, den) = den^deg(Q) Q(wd / den), over the common L
+    E_int = _scaled_value(even, wd, wn) * (2 * wn) ** do
+    O_int = _scaled_value(odd, wd, 2 * wn) * wn**de if odd else 0
+    return E_int, O_int, D * D * wn**de * (2 * wn) ** do
+
+
 def _norm_constant(m_abs, omega, poly: Poly) -> float:
-    two_nu = 2 * float(m_abs) + 1
-    p = poly.as_floats()
-    rmax = math.sqrt((80.0 + 4.0 * (two_nu + 2 * max(p.degree, 0))) / omega)
-    val, _ = adaptive_quad(
-        lambda r: math.exp(-omega * r * r) * r**two_nu * p(r) ** 2,
-        0.0, rmax, tol_abs=1e-14, tol_rel=1e-13, limit=400,
-        points=[1.0 / math.sqrt(omega)],
-    )
-    return 1.0 / math.sqrt(val)
+    """1 / sqrt(int_0^inf exp(-omega r^2) r^(2a-1) p(r)^2 dr) with a = |m| + 1.
+
+    With p^2 = sum_k c_k r^k every power is a Gamma moment
+    Gamma(a + k/2) / (2 omega^(a + k/2)), so the integral is
+    Gamma(a) / (2 omega^a) [E + rho O] with E = sum_j c_2j (a)_j omega^-j,
+    O = sum_j c_(2j+1) (a + 1/2)_j omega^-j and
+    rho = Gamma(a + 1/2) / (Gamma(a) sqrt(omega)). E and O are exact integer
+    sums; only rho, which carries sqrt(pi / omega), is rounded. E and rho O
+    can cancel (by up to 34 digits for n <= 32), so `decimal` runs at a
+    precision that keeps 20 digits beyond the cancellation it measures.
+    """
+    if not float(m_abs).is_integer():
+        raise ValueError(f"the Gamma-moment norm needs an integer |m|, got {m_abs!r}")
+    if poly.is_zero():
+        raise ValueError("the zero polynomial has no norm")
+    a = int(m_abs) + 1
+    E_int, O_int, L = _moment_sums(a, omega, poly)
+    wn, wd = Fraction(omega).as_integer_ratio()
+    # rho = R sqrt(pi wd / wn) with R = (2a)! / (4^a a! (a-1)!)
+    R = Fraction(math.factorial(2 * a), 4**a * math.factorial(a) * math.factorial(a - 1))
+    prec = 60
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            rho = (_pi(prec) * (wd * R.numerator**2) / (wn * R.denominator**2)).sqrt()
+            total = E_int + rho * O_int
+            lost = max(Decimal(E_int).adjusted(), (rho * O_int).adjusted()) - total.adjusted()
+            if total > 0 and lost + 20 <= prec:
+                den = math.factorial(a - 1) * wd**a * total
+                return float((2 * wn**a * L / den).sqrt())
+        prec = 20 * (max(lost, prec) // 20 + 3)
+
+
+def _u2_range(wf: "RadialWavefunction") -> float:
+    """Radius past which u^2, polynomial factor included, is below e^-80 of its peak."""
+    k = 2.0 * wf.m_abs + 1.0 + 2.0 * max(wf.poly.degree, 0)
+    return math.sqrt((80.0 + 4.0 * k) / wf.omega)
+
+
+_NORM_TOL = 1e-10   # allowed |int u^2 - 1| and integrated evaluation error of the float state
+
+
+def _certify(wf: RadialWavefunction) -> None:
+    """Raise QuadratureNonConvergence unless the state as evaluated in floats is normalized.
+
+    The shared Gauss rule (4 against 8 panels) integrates u^2 and
+    N^2 exp(-omega r^2) r^(2|m|+1) |p^2 - p~^2|, with p~ the compensated Horner
+    value of the exact polynomial. Both must be within 1e-10: the first of 1,
+    the second of 0. The second integral measures the float evaluation error
+    of p directly, so a noisy state cannot pass by how its noise falls on the
+    rule's nodes.
+    """
+    def rows(r):
+        base = wf.norm**2 * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1)
+        p = wf.poly(r)
+        return np.stack([base * p**2, base * np.abs(p**2 - _compensated_horner(wf.poly, r) ** 2)])
+    (total, error), _ = gauss_legendre(rows, 0.0, _u2_range(wf), panels=4,
+                                       tol_abs=_NORM_TOL, tol_rel=0.0)
+    if not (abs(total - 1.0) <= _NORM_TOL and error <= _NORM_TOL):
+        raise QuadratureNonConvergence(
+            f"the state as evaluated in floats integrates to {total:.17g} with float evaluation "
+            f"error {error:.3e}; need both within {_NORM_TOL:.0e} (of 1 and of 0)")
 
 
 def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
@@ -318,17 +415,19 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
 
     In r the recurrence needs only Z and omega_tilde (kappa = Z, omega =
     omega_tilde), so coefficients stay exact rationals whenever omega_tilde is
-    rational.
+    rational. The norm is exact up to its final rounding; `_certify` then
+    rejects a state whose float evaluation is too noisy to be normalized.
     """
     exact = branch.omega_exact is not None and float(branch.Z).is_integer()
     w = branch.omega_exact if exact else branch.omega_tilde
     Zc = Fraction(int(branch.Z)) if exact else branch.Z
     m_abs = abs(Fraction(branch.m)) if exact and _is_rational(branch.m) else float(branch.m_abs)
     poly = Poly(recurrence_coefficients(Zc, 2 * (branch.n - 1), m_abs, branch.n, w))
-    norm = _norm_constant(branch.m_abs, branch.omega_tilde, poly)
-    return RadialWavefunction(m_abs=float(branch.m_abs), omega=branch.omega_tilde,
-                              Z=float(branch.Z), eps_rel=branch.eps_rel,
-                              poly=poly, norm=norm, branch=branch)
+    wf = RadialWavefunction(m_abs=float(branch.m_abs), omega=branch.omega_tilde,
+                            Z=float(branch.Z), eps_rel=branch.eps_rel,
+                            poly=poly, norm=_norm_constant(m_abs, w, poly), branch=branch)
+    _certify(wf)
+    return wf
 
 
 def _is_rational(x) -> bool:

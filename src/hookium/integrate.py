@@ -7,7 +7,6 @@ import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
-import scipy.integrate
 
 __all__ = ["QuadratureNonConvergence", "adaptive_quad", "gauss_legendre"]
 
@@ -72,6 +71,8 @@ def adaptive_quad(f, a, b, *, tol_abs=1e-12, tol_rel=1e-10, limit=300, points=No
     max(tol_abs, tol_rel * |value|). Interior breakpoints may be passed via
     points to help the subdivision.
     """
+    import scipy.integrate   # only the oracles call this; the package's own routes do not
+
     kwargs = dict(limit=limit, epsabs=tol_abs, epsrel=tol_rel)
     if points is not None:
         kwargs["points"] = [p for p in points if a < p < b]
@@ -88,13 +89,17 @@ def gauss_legendre(f, a, b, *, panels, tol_abs=1e-12, tol_rel=1e-10):
     f maps a 1-D array of nodes to values with the nodes on the last axis;
     each leading index is one row. The rule runs on `panels` and on 2 * panels
     equal panels and returns the finer sum, with err = |fine - coarse| per
-    row, under the same budget as adaptive_quad.
+    row, under the same budget as adaptive_quad. f is called once, on the
+    nodes of both passes, so its per-call cost is paid once.
     """
-    sums = []
-    for p in (panels, 2 * panels):
-        half = 0.5 * (b - a) / p
-        x = a + half * (2 * np.arange(p)[:, None] + 1 + _GL_X)
-        sums.append(half * (f(x.ravel()) @ np.tile(_GL_W, p)))
+    counts = (panels, 2 * panels)
+    halves = [0.5 * (b - a) / p for p in counts]
+    nodes = [(a + h * (2 * np.arange(p)[:, None] + 1 + _GL_X)).ravel() for h, p in zip(halves, counts)]
+    values = f(np.concatenate(nodes))
+    passes = (values[..., :nodes[0].size], values[..., nodes[0].size:])
+    # contiguous copies keep the summation order that separate calls of f had
+    sums = [h * (np.ascontiguousarray(v) @ np.tile(_GL_W, p)) for h, v, p in zip(halves, passes, counts)]
+    del nodes, values, passes   # a raised QuadratureNonConvergence keeps this frame alive
     err = np.abs(sums[1] - sums[0])
     _check_budget(sums[1], err, tol_abs, tol_rel)
     return sums[1], err

@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sciopt
 from scipy import special as _sf
 
 from .hooke import (
     CenterOfMassState,
     QuantizationBranch,
     RadialWavefunction,
+    _u2_range,
     build_wavefunction,
     solve_frequencies,
 )
@@ -69,17 +69,11 @@ _BLOCK = 1 << 15   # float64 entries of one (rows x nodes) block; its temporarie
 
 def _rule_rows(f, rows, b: float, panels: int, tol_abs: float, tol_rel: float):
     """Gauss rule of f(rows[:, None], nodes) over [0, b] per row, in blocks of about _BLOCK."""
-    step = max(1, _BLOCK // (2 * 48 * panels))   # nodes of the rule's finer pass
+    step = max(1, _BLOCK // (3 * 48 * panels))   # nodes of the rule's two passes
     return np.concatenate([
         gauss_legendre(lambda x: f(rows[i:i + step, None], x), 0.0, b, panels=panels,
                        tol_abs=tol_abs, tol_rel=tol_rel)[0]
         for i in range(0, rows.size, step)])
-
-
-def _u2_range(wf: RadialWavefunction) -> float:
-    """Radius past which u^2, polynomial factor included, is below e^-80 of its peak."""
-    k = 2.0 * wf.m_abs + 1.0 + 2.0 * max(wf.poly.degree, 0)
-    return math.sqrt((80.0 + 4.0 * k) / wf.omega)
 
 
 def default_grid(omega: float, points: int = 512, r_min: float = 1e-4, span: float = 12.0):
@@ -305,7 +299,9 @@ def fit_cm_width(wf: RadialWavefunction, reference, *, r_max: float = 6.0,
         rel = (q[mask] - ref[mask]) / ref[mask]
         return float(np.sqrt(np.mean(rel * rel)))
 
-    res = _sciopt.minimize_scalar(objective, bounds=bounds, method="bounded",
+    from scipy import optimize   # only the width fit needs it; importing it costs about 20 MB
+
+    res = optimize.minimize_scalar(objective, bounds=bounds, method="bounded",
                                   options={"xatol": 1e-7 * wf.omega})
     return CmWidthFit(beta=float(res.x), beta_convention=4.0 * wf.omega,
                       objective=float(res.fun))
@@ -448,6 +444,34 @@ def _entropy_edges(wf: RadialWavefunction) -> np.ndarray:
     return np.array(edges)
 
 
+def _exact_sum(v: np.ndarray) -> float:
+    """Correctly rounded sum of a float array: for finite terms, bit for bit math.fsum.
+
+    Each finite term is M 2^e with M an integer below 2^53 (np.frexp), split into
+    a 27-bit and a 26-bit half. np.bincount sums each half per exponent e;
+    with fewer than 2^26 terms every partial sum is an integer below 2^53,
+    so those sums are exact. The bins are combined as one Python int, and a
+    single int / int division rounds it. Non-finite terms give np.sum's
+    inf or nan.
+    """
+    if v.size >= 1 << 26:
+        raise ValueError("the exact sum takes fewer than 2**26 terms")
+    frac, exp = np.frexp(v)
+    if not np.isfinite(frac).all():
+        return float(np.sum(v))
+    mant = frac * 2.0**53
+    hi = np.trunc(mant * 2.0**-26)
+    lo = mant - hi * 2.0**26
+    e0 = int(exp.min(initial=0))
+    bins = exp - e0
+    sum_hi, sum_lo = np.bincount(bins, weights=hi), np.bincount(bins, weights=lo)
+    total = 0
+    for k in np.flatnonzero(sum_hi.astype(bool) | sum_lo.astype(bool)).tolist():
+        total += ((int(sum_hi[k]) << 26) + int(sum_lo[k])) << k
+    shift = e0 - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
 def _entropy_on(wf: RadialWavefunction, edges: np.ndarray, total) -> float:
     """S from the rule's four moments on the panels; `total` sums one moment's terms."""
     half = 0.5 * np.diff(edges)[:, None]
@@ -480,7 +504,7 @@ def total_entropy(wf: RadialWavefunction, *, tol_abs: float = 1e-10,
     fine = np.empty(2 * edges.size - 1)
     fine[0::2], fine[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
     # the returned pass is summed exactly; the coarse one only sizes the error
-    value = _entropy_on(wf, fine, lambda v: math.fsum(v.tolist()))
+    value = _entropy_on(wf, fine, _exact_sum)
     _check_budget(value, abs(value - _entropy_on(wf, edges, np.sum)), tol_abs, tol_rel)
     return value
 

@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,17 @@ def test_readme_cli_commands_succeed(tmp_path, capsys, monkeypatch):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_cli_import_skips_scipy_optimize_and_integrate():
+    # only the width fit and the adaptive oracle need them; a cold start should not pay
+    code = ("import sys, hookium.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_solve_quadratic_branches_golden(capsys):

@@ -2,10 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hookium import hooke
-from hookium.integrate import adaptive_quad
+from hookium.integrate import QuadratureNonConvergence, adaptive_quad
 from hookium.polyops import Poly
 from hookium.series import series_solve
 
@@ -112,22 +113,27 @@ def test_node_count_tables():
         assert [wf.nodes for wf in wfs] == nodes, (n, Z)
 
 
+def _r_poly(b):
+    """(omega, r-polynomial) of a branch exactly as build_wavefunction runs the recurrence."""
+    exact = b.omega_exact is not None
+    w = b.omega_exact if exact else b.omega_tilde
+    Zc = Fraction(int(b.Z)) if exact else b.Z
+    m_abs = Fraction(b.m) if exact else float(b.m)
+    return w, Poly(hooke.recurrence_coefficients(Zc, 2 * (b.n - 1), m_abs, b.n, w))
+
+
 def _ladder(n, m, Z):
     """(nodes, oscillation-ladder count) per branch of (n, m, Z), descending omega.
 
     The nodes are those of the r-polynomial exactly as build_wavefunction
-    builds it; the state itself is not built (its norm quadrature does not
-    converge for attractive branches from n = 9).
+    builds it; the state itself is not built (the float-evaluated states of
+    some attractive branches fail its normalization guard).
     """
     branches = hooke.solve_frequencies(n, m, Z)
     B = len(branches)
     out = []
     for k, b in enumerate(branches):
-        exact = b.omega_exact is not None
-        w = b.omega_exact if exact else b.omega_tilde
-        Zc = Fraction(Z) if exact else b.Z
-        m_abs = Fraction(m) if exact else float(m)
-        poly = Poly(hooke.recurrence_coefficients(Zc, 2 * (n - 1), m_abs, n, w))
+        _, poly = _r_poly(b)
         wf = hooke.RadialWavefunction(m_abs=float(m), omega=b.omega_tilde, Z=b.Z,
                                       eps_rel=b.eps_rel, poly=poly, norm=1.0, branch=b)
         out.append((wf.nodes, B - 1 - k if Z > 0 else n - B + k))
@@ -179,6 +185,105 @@ def test_wavefunction_normalized():
         wf = hooke.build_wavefunction(hooke.solve_frequencies(n, m, Z)[0])
         total, _ = adaptive_quad(wf.u_squared, 0.0, wf.support_radius(), tol_abs=1e-12)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("Z", [1, -1])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_norm_moment_sums_exact(n, m, Z):
+    # sqrt(pi) enters only through rho = Gamma(a + 1/2) / (Gamma(a) sqrt(omega)),
+    # so E and O must equal their Fraction sums exactly
+    b = hooke.solve_frequencies(n, m, Z)[0]
+    w, poly = _r_poly(b)
+    a = m + 1
+    sq = poly * poly
+    E = sum(c * math.prod(a + i for i in range(j)) / w**j
+            for j, c in enumerate(sq.coeffs[0::2]))
+    O = sum(c * math.prod(Fraction(2 * a + 1 + 2 * i, 2) for i in range(j)) / w**j
+            for j, c in enumerate(sq.coeffs[1::2]))
+    E_int, O_int, L = hooke._moment_sums(a, w, poly)
+    assert (Fraction(E_int, L), Fraction(O_int, L)) == (E, O)
+    rho = math.gamma(a + 0.5) / (math.gamma(a) * math.sqrt(w))
+    integral = math.gamma(a) / (2 * float(w) ** a) * (float(E) + rho * float(O))
+    assert hooke._norm_constant(m, w, poly) == pytest.approx(1 / math.sqrt(integral), rel=1e-14)
+
+
+def _adaptive_norm(m_abs, omega, poly):
+    """The norm as an adaptive quadrature of the float polynomial (the route it replaced)."""
+    two_nu = 2 * float(m_abs) + 1
+    p = poly.as_floats()
+    rmax = math.sqrt((80.0 + 4.0 * (two_nu + 2 * max(p.degree, 0))) / omega)
+    val, _ = adaptive_quad(lambda r: math.exp(-omega * r * r) * r**two_nu * p(r) ** 2,
+                           0.0, rmax, tol_abs=1e-14, tol_rel=1e-13, limit=400,
+                           points=[1.0 / math.sqrt(omega)])
+    return 1.0 / math.sqrt(val)
+
+
+@pytest.mark.parametrize("Z", [1, -1])
+@pytest.mark.parametrize("m", [0, 3, 10])
+def test_norm_matches_adaptive_quadrature(m, Z):
+    compared = 0
+    for n in range(2, 15):
+        for b in hooke.solve_frequencies(n, m, Z):
+            w, poly = _r_poly(b)
+            try:
+                want = _adaptive_norm(m, b.omega_tilde, poly)
+            except QuadratureNonConvergence:
+                continue   # the adaptive route cannot certify some attractive branches
+            compared += 1
+            assert hooke._norm_constant(m, w, poly) == pytest.approx(want, rel=1e-11, abs=0.0), \
+                (n, m, Z, b.omega_tilde)
+    assert compared
+
+
+@pytest.mark.parametrize("n, m, Z, k", [
+    (24, 10, -1, 11),   # float Horner is far off: int u^2 misses 1 by -1.7e-2
+    (28, 10, -1, 12),   # and by +17
+    # int u^2 is within 1e-10 of 1 on the rule's 4 and 8 panels, but the float
+    # evaluation error integrates to 2.6e-9 (the virial identity misses by 2.5e-10)
+    (11, 10, -1, 4),
+])
+def test_build_rejects_noisy_float_state(n, m, Z, k):
+    with pytest.raises(QuadratureNonConvergence):
+        hooke.build_wavefunction(hooke.solve_frequencies(n, m, Z)[k])
+
+
+def test_norm_needs_integer_m():
+    with pytest.raises(ValueError):
+        hooke._norm_constant(0.5, 1.0, Poly((1.0,)))
+    with pytest.raises(ValueError):
+        hooke.build_wavefunction(hooke.oscillator_branch(1.5, 1.0))
+
+
+_VIRIAL_X, _VIRIAL_W = np.polynomial.legendre.leggauss(64)
+
+
+def _moments(wf):
+    """(<r^2>, <1/r>) by a composite 64-point Gauss-Legendre rule on 32 equal panels."""
+    deg = max(wf.poly.degree, 0)
+    r_max = math.sqrt((200.0 + 4.0 * (2.0 * wf.m_abs + 1.0 + 2.0 * deg)) / wf.omega)
+    half = 0.5 * r_max / 32
+    r = half * (2 * np.arange(32)[:, None] + 1 + _VIRIAL_X)
+    w = half * _VIRIAL_W
+    return float(np.sum(w * wf.u_squared(r) * r * r)), float(np.sum(w * wf.density_radial(r)))
+
+
+@pytest.mark.parametrize("Z", [1, -1, 2, -2])
+@pytest.mark.parametrize("m", [0, 3, 10])
+def test_virial_identity(m, Z):
+    # eps_rel = 2 <V_harm> + <V_coul> / 2 = omega^2 <r^2> + (Z / 4) <1/r>
+    built = 0
+    for n in range(2, 15):
+        for b in hooke.solve_frequencies(n, m, Z):
+            try:
+                wf = hooke.build_wavefunction(b)
+            except QuadratureNonConvergence:
+                continue
+            built += 1
+            r2, inv_r = _moments(wf)
+            virial = wf.omega**2 * r2 + 0.25 * wf.Z * inv_r
+            assert virial == pytest.approx(wf.eps_rel, rel=1e-10, abs=0.0), (n, m, Z, b.omega_tilde)
+    assert built
 
 
 def test_wavefunction_exact_coefficients():

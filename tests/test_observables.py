@@ -248,6 +248,61 @@ def test_total_entropy_tolerances():
             observables.total_entropy(wf, tol_abs=bad)
 
 
+def _sum_cases():
+    rng = np.random.default_rng(20261018)
+    wide = rng.standard_normal(300) * 10.0 ** rng.uniform(-300, 300, 300)
+    subnormal = rng.integers(-1000, 1000, 200) * 5e-324
+    x = rng.standard_normal(150) * 10.0 ** rng.uniform(-20, 20, 150)
+    cancel = np.concatenate([x, -x * (1 + 1e-16)])
+    rng.shuffle(cancel)
+    return {
+        "wide": wide,
+        "subnormal": subnormal,
+        "mixed": np.concatenate([wide, subnormal, cancel]),
+        "cancel": cancel,
+        "one": np.array([-3.7e-200]),
+        "zeros": np.zeros(5),
+        "signed_zeros": np.array([0.0, -0.0, -0.0]),
+        "negative_zeros": np.array([-0.0, -0.0]),
+        "empty": np.array([]),
+        "gaussian": rng.standard_normal(20000) * np.exp(rng.uniform(-30, 0, 20000)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_sum_cases()))
+def test_exact_sum_matches_fsum(case):
+    v = _sum_cases()[case]
+    assert observables._exact_sum(v).hex() == math.fsum(v.tolist()).hex()
+
+
+def test_exact_sum_non_finite_terms():
+    assert observables._exact_sum(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(observables._exact_sum(np.array([1.0, math.nan])))
+
+
+def test_exact_sum_many_seeded_arrays():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 400))
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+        v[rng.random(n) < 0.3] *= -1e-16
+        assert observables._exact_sum(v).hex() == math.fsum(v.tolist()).hex()
+
+
+@pytest.mark.parametrize("bad", [
+    math.nan,
+    # the coarse pass's numpy sums warn on inf - inf before the budget check raises
+    pytest.param(math.inf, marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+])
+def test_total_entropy_non_finite_term_is_loud(bad):
+    import dataclasses
+    from hookium.polyops import Poly
+    wf = hooke.build_wavefunction(hooke.oscillator_branch(0, Fraction(1, 2)))
+    broken = dataclasses.replace(wf, poly=Poly((bad,)))   # every moment's terms are non-finite
+    with pytest.raises(QuadratureNonConvergence):
+        observables.total_entropy(broken)
+
+
 def test_entropy_scan_frozen_table():
     frozen = {
         (0, 1): 5.336897, (1, 1): 6.387913, (2, 1): 6.994282,
