@@ -297,17 +297,16 @@ def cmd_entropy(args) -> int:
         path = write_text(base / f"{args.out}.csv",
                           render_csv(("r", "value"), profile_rows(profile.grid, profile.values)))
         print(f"wrote {path}")
-        if args.surface:
-            surf = observables.entropy_surface(wf, extent=args.extent,
-                                               points=args.surface_points)
+    if args.surface:
+        surf = observables.entropy_surface(wf, extent=args.extent, points=args.surface_points)
+        if args.out:
             spath = write_text(base / f"{args.out}_surface.csv",
                                render_csv(("x", "y", "value"),
                                           surface_rows(surf.x, surf.y, surf.values)))
             print(f"wrote {spath}")
-    elif args.surface:
-        surf = observables.entropy_surface(wf, extent=args.extent, points=args.surface_points)
-        print(f"surface = {surf.values.shape[0]}x{surf.values.shape[1]}, "
-              f"extent {format_number(float(surf.x[-1]))} (pass --out to write it)")
+        else:
+            print(f"surface = {surf.values.shape[0]}x{surf.values.shape[1]}, "
+                  f"extent {format_number(float(surf.x[-1]))} (pass --out to write it)")
     return EXIT_OK
 
 

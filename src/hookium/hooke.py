@@ -286,8 +286,8 @@ class RadialWavefunction:
     def u_second(self, r):
         r = np.asarray(r, dtype=float)
         p = self.poly(r)
-        dp = self.poly.derivative()(r)
-        ddp = self.poly.derivative().derivative()(r)
+        dpoly = self.poly.derivative()
+        dp, ddp = dpoly(r), dpoly.derivative()(r)
         nu, w = self.nu, self.omega
         wv = r**nu * p
         wd = r ** (nu - 1) * (nu * p + r * dp)
@@ -300,7 +300,7 @@ class RadialWavefunction:
         """Positive real zeros of the polynomial factor."""
         if self.poly.degree < 1:
             return 0
-        return sturm_count(self.poly.as_fractions(), 0, math.inf)
+        return sturm_count(self.poly, 0, math.inf)
 
 
 @lru_cache(maxsize=None)
@@ -439,19 +439,27 @@ def verify_branch(wf: RadialWavefunction, params: HookeParams | None = None, gri
 
     A direct check against the radial operator, evaluated from closed-form
     derivatives of the Gaussian-polynomial profile rather than the series
-    pipeline that produced it.
+    pipeline that produced it. The default grid is 600 points on [1e-3, 12],
+    plus 600 on [12, _u2_range(wf)] when the support reaches past r = 12; the
+    first 600 alone set a floor, so a peak past r = 12 cannot lower the result.
     """
     if params is not None:
         if abs(params.omega_tilde - wf.omega) > 1e-12 * max(1.0, wf.omega) or params.Z != wf.Z:
             raise InconsistentParams("params do not match the wavefunction branch")
+    core = None  # the points whose own ratio is a floor; None: the whole grid
     if grid is None:
-        grid = np.linspace(1e-3, 12.0, 600)
+        core = 600
+        grid = np.linspace(1e-3, 12.0, core)
+        r_max = _u2_range(wf)
+        if r_max > 12.0:
+            grid = np.concatenate([grid, np.linspace(12.0, r_max, 600)])
     r = np.asarray(grid, dtype=float)
     u = wf.u(r)
     hu = -0.5 * wf.u_second(r)
     cf = (wf.m_abs * wf.m_abs - 0.25) / 2.0
     hu = hu + (cf / (r * r) + 0.5 * wf.omega**2 * r * r + wf.Z / (2.0 * r)) * u
-    return float(np.max(np.abs(hu - wf.eps_rel * u)) / np.max(np.abs(u)))
+    err, size = np.abs(hu - wf.eps_rel * u), np.abs(u)
+    return float(max(np.max(err) / np.max(size), np.max(err[:core]) / np.max(size[:core])))
 
 
 @dataclass(frozen=True)

@@ -237,8 +237,8 @@ class SexticWavefunction:
         x = np.asarray(x, dtype=float)
         sg = math.sqrt(self.gamma)
         s = self.s(x)
-        ds = self.s.derivative()(x)
-        dds = self.s.derivative().derivative()(x)
+        ds_poly = self.s.derivative()
+        ds, dds = ds_poly(x), ds_poly.derivative()(x)
         a = self.a
         w = x**a * s
         wd = x ** (a - 1) * (a * s + x * ds)
@@ -247,17 +247,6 @@ class SexticWavefunction:
         gpp = 3.0 * sg * x * x
         out = self.norm * np.exp(-sg * x**4 / 4.0) * (wdd - 2 * gp * wd + (gp * gp - gpp) * w)
         return out if out.ndim else float(out)
-
-
-def _even_series_to_poly(series: PowerSeries) -> Poly:
-    """Dense x-polynomial from an even power series based at 0."""
-    if series.is_zero():
-        return Poly()
-    top = int(series.max_exponent)
-    coeffs = [0.0] * (top + 1)
-    for e in series.exponents():
-        coeffs[int(e)] = series.coefficient(e)
-    return Poly(coeffs)
 
 
 def sextic_residual(p: SexticParams, E: float, sw: SexticWavefunction, grid=None) -> float:
@@ -300,29 +289,21 @@ def hooke_state_to_sextic(wf: RadialWavefunction) -> SexticWavefunction:
 
 
 def node_count(series: PowerSeries, domain=(0.0, math.inf)) -> int:
-    """Sign changes of the series' polynomial part inside the open interval.
+    """Distinct zeros of an even polynomial series in the half-open interval (lo, hi], lo >= 0.
 
-    Exact Sturm count for rational coefficients. For float coefficients a dense
-    sign scan is used instead of companion-matrix roots: truncated trial series
-    have high degree, and near-real complex pairs would inflate the count.
+    The series is a polynomial q in y = x^2, and x -> x^2 maps (lo, hi] onto
+    (lo^2, hi^2], so an exact Sturm count of q there counts the zeros in x;
+    float coefficients enter as their binary rationals.
     """
     lo, hi = domain
+    if lo < 0:
+        raise ValueError("node_count needs lo >= 0")
     if series.is_zero():
         return 0
-    if not all(int(e) == e for e in series.exponents()):
-        raise ValueError("series with non-integer exponents has no polynomial part")
-    poly = _even_series_to_poly(series)
-    if poly.degree < 1:
-        return 0
-    if series.coefficient_kind == "exact-rational":
-        hi_x = hi if hi == math.inf else Fraction(hi)
-        return sturm_count(poly.as_fractions(), Fraction(lo) if lo != -math.inf else -math.inf, hi_x)
-    if hi == math.inf:
-        _, roots = real_roots(poly)
-        hi = max((r for r in roots if r > lo), default=float(lo) + 1.0) + 1.0
-    xs = np.linspace(float(lo), float(hi), 4096)
-    vals = poly(xs[1:-1])
-    return int(np.sum(np.signbit(vals[1:]) != np.signbit(vals[:-1])))
+    if any(c and (e < 0 or e % 2) for e, c in zip(series.exponents(), series.coeffs)):
+        raise ValueError("node_count needs a series in nonnegative even powers of x")
+    q = Poly([series.coefficient(e) for e in range(0, int(series.max_exponent) + 1, 2)])
+    return sturm_count(q, Fraction(lo) ** 2, hi if hi == math.inf else Fraction(hi) ** 2)
 
 
 @dataclass(frozen=True)
@@ -345,20 +326,26 @@ def _x_max(p: SexticParams) -> float:
     return (36.0 * math.log(10.0) / math.sqrt(p.gamma)) ** 0.25 + 1.0
 
 
-def _inner(p: SexticParams, f: PowerSeries, g: PowerSeries) -> float:
-    """<f, g> = int_0^inf psi0^2 f g dx for polynomial series f, g (zero if either is).
+def _moments(p: SexticParams, count: int) -> np.ndarray:
+    """mu_k = int_0^inf psi0^2 x^k dx for k = 0..count-1.
 
-    With psi0^2 = x^(2m+2) exp(-b x^4), b = sqrt(gamma)/2, the pair x^i, x^j
-    contributes the Gamma moment Gamma(k) / (4 b^k), k = (2m + 3 + i + j)/4.
+    With psi0^2 = x^(2m+2) exp(-b x^4), b = sqrt(gamma)/2, this is the Gamma
+    moment Gamma(q) / (4 b^q), q = (2m + 3 + k)/4.
     """
+    q = (2.0 * float(p.m) + 3.0 + np.arange(count)) / 4.0
+    if q[0] <= 0:
+        raise ValueError("psi0^2 is not integrable at x = 0 for m <= -3/2")
+    b = float(p.sqrt_gamma) / 2.0
+    return _special.gamma(q) / (4.0 * b**q)
+
+
+def _inner(p: SexticParams, f: PowerSeries, g: PowerSeries) -> float:
+    """<f, g> = int_0^inf psi0^2 f g dx for polynomial series f, g (zero if either is)."""
     if f.is_zero() or g.is_zero():
         return 0.0
     fg = np.convolve([float(c) for c in f.coeffs], [float(c) for c in g.coeffs])
-    k = (2.0 * float(p.m) + 3.0 + float(f.base + g.base) + np.arange(fg.size)) / 4.0
-    if k[0] <= 0:
-        raise ValueError("psi0^2 is not integrable at x = 0 for m <= -3/2")
-    b = float(p.sqrt_gamma) / 2.0
-    return float(fg @ (_special.gamma(k) / (4.0 * b**k)))
+    lo = int(f.base + g.base)
+    return float(fg @ _moments(p, lo + fg.size)[lo:])
 
 
 def _trial_state(p: SexticParams, E, N: int):
@@ -405,20 +392,22 @@ _RITZ_PIVOT_FLOOR = 1e-10
 def _ritz_levels(p: SexticParams, N: int) -> np.ndarray:
     """Rayleigh-Ritz values of H on the basis psi0 x^(2j), j = 0..N//2, ascending.
 
-    S_ij = <x^(2i), x^(2j)> and H_ij = <x^(2i), H_red x^(2j)> are Gamma moments,
-    H_red x^(2j) = -j (2j+1+2m) x^(2j-2) + (2j sqrt(gamma) + A) x^(2j+2). The k-th
-    value bounds the k-th level from above and is exact once the basis holds
-    the sector state (Hylleraas-Undheim, MacDonald). S is scaled to unit
+    With the moment vector mu of _moments, S_ij = <x^(2i), x^(2j)> = mu_(2i+2j) and,
+    as H_red x^(2j) = -j (2j+1+2m) x^(2j-2) + (2j sqrt(gamma) + A) x^(2j+2),
+    H_ij = <x^(2i), H_red x^(2j)> = -j (2j+1+2m) mu_(2i+2j-2) + (2j sqrt(gamma) + A) mu_(2i+2j+2).
+    The k-th value bounds the k-th level from above and is exact once the basis
+    holds the sector state (Hylleraas-Undheim, MacDonald). S is scaled to unit
     diagonal, and the basis stops at the first Cholesky pivot of S below
     _RITZ_PIVOT_FLOOR, so a large N can return fewer than N//2 + 1 values.
     """
     sg, A, m = float(p.sqrt_gamma), float(p.A), float(p.m)
     size = N // 2 + 1
-    basis = [PowerSeries(2 * j, [1]) for j in range(size)]
-    images = [PowerSeries(2 * j - 2, [-j * (2 * j + 1 + 2 * m), 0, 0, 0, 2 * j * sg + A])
-              for j in range(size)]
-    S = np.array([[_inner(p, f, g) for g in basis] for f in basis])
-    H = np.array([[_inner(p, f, h) for h in images] for f in basis])
+    j = np.arange(size)
+    mu = _moments(p, 4 * size - 1)
+    k = 2 * (j[:, None] + j)
+    S = mu[k]
+    # the x^(2j-2) term vanishes at j = 0, where mu_0 only stands in for mu_(-2)
+    H = -j * (2 * j + 1 + 2 * m) * mu[np.maximum(k - 2, 0)] + (2 * j * sg + A) * mu[k + 2]
     scale = 1.0 / np.sqrt(np.diag(S))
     S, H = S * np.outer(scale, scale), H * np.outer(scale, scale)
     L, info = _linalg.lapack.dpotrf(S, lower=1)  # info > 0: the block of order info is not PD

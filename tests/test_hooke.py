@@ -300,6 +300,18 @@ def test_eigen_residual_sweep():
                 assert hooke.verify_branch(wf) < 1e-9, (n, Z, b.omega_tilde)
 
 
+# low-frequency ground states whose support reaches far past r = 12; the last
+# two peak there and fail the 1e-9 residual bound on [1e-3, 12] alone
+@pytest.mark.parametrize("n, m, Z", ((24, 10, 1), (26, 2, -2), (28, 3, 2)))
+def test_default_residual_grid_covers_support(n, m, Z):
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(n, m, Z)[0])
+    r_max = hooke._u2_range(wf)
+    assert r_max > 40.0
+    default = hooke.verify_branch(wf)
+    assert default >= hooke.verify_branch(wf, grid=np.linspace(12.0, r_max, 600))
+    assert default >= hooke.verify_branch(wf, grid=np.linspace(1e-3, 12.0, 600))
+
+
 def test_perturbed_frequency_fails_residual():
     import dataclasses
     wf = hooke.build_wavefunction(hooke.solve_frequencies(3, 0, 1)[0])

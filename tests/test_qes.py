@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import linalg, special
 
 from hookium import hooke, qes
 from hookium.integrate import adaptive_quad
@@ -113,6 +114,21 @@ def test_node_count_exact_rational_path(exact_sector):
     assert qes.node_count(u, (0.0, 4.0)) == 1
 
 
+def test_node_count_resolves_close_pair():
+    # (y - 1)(y - 1.0001) in y = x^2: both zeros lie within 5e-5 of x = 1
+    u = PowerSeries(0, [1.0001, 0.0, -2.0001, 0.0, 1.0])
+    assert qes.node_count(u, (0.0, 4.0)) == 2
+    assert qes.node_count(u, (0.0, math.inf)) == 2
+    assert qes.node_count(u, (1.00001, 4.0)) == 1
+
+
+def test_node_count_domain():
+    with pytest.raises(ValueError):
+        qes.node_count(PowerSeries(0, [1.0, 0.0, -1.0]), (-1.0, 4.0))
+    with pytest.raises(ValueError):
+        qes.node_count(PowerSeries(0, [1.0, -1.0, -1.0]), (0.0, 4.0))
+
+
 def test_residual_functional_discriminates(mapped_sector):
     r_exact, _, _ = qes._residual_functional(mapped_sector, 2.0, 12)
     r_off, _, _ = qes._residual_functional(mapped_sector, 2.3, 12)
@@ -214,6 +230,44 @@ def test_variational_finds_every_sector_level(m, n):
                 vs = qes.variational_state(p, k, N)
                 assert abs(vs.E_star - level) <= 1e-8, (gamma, k, N)
                 assert vs.node_count == k, (gamma, k, N)
+
+
+def _per_entry_ritz(p, N):
+    """Ritz values with every matrix entry its own Gamma-moment sum over a product series."""
+    sg, A, m = float(p.sqrt_gamma), float(p.A), float(p.m)
+    b = sg / 2.0
+
+    def inner(f, g):
+        if f.is_zero() or g.is_zero():
+            return 0.0
+        fg = np.convolve([float(c) for c in f.coeffs], [float(c) for c in g.coeffs])
+        q = (2.0 * m + 3.0 + float(f.base + g.base) + np.arange(fg.size)) / 4.0
+        return float(fg @ (special.gamma(q) / (4.0 * b**q)))
+
+    size = N // 2 + 1
+    basis = [PowerSeries(2 * j, [1]) for j in range(size)]
+    images = [PowerSeries(2 * j - 2, [-j * (2 * j + 1 + 2 * m), 0, 0, 0, 2 * j * sg + A])
+              for j in range(size)]
+    S = np.array([[inner(f, g) for g in basis] for f in basis])
+    H = np.array([[inner(f, h) for h in images] for f in basis])
+    scale = 1.0 / np.sqrt(np.diag(S))
+    S, H = S * np.outer(scale, scale), H * np.outer(scale, scale)
+    L, info = linalg.lapack.dpotrf(S, lower=1)
+    pivots = np.diag(L)[:info - 1 if info else size] ** 2
+    small = np.flatnonzero(pivots < qes._RITZ_PIVOT_FLOOR)
+    keep = small[0] if small.size else pivots.size
+    return linalg.eigh(H[:keep, :keep], S[:keep, :keep], eigvals_only=True)
+
+
+@pytest.mark.parametrize("n", (0, 2, 4, 6, 8))
+@pytest.mark.parametrize("m", (Fraction(-1, 2), Fraction(0), Fraction(1)))
+def test_ritz_levels_match_per_entry_assembly(m, n):
+    for gamma in SECTOR_GAMMAS:
+        p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
+        for N in (12, 16, 24):
+            got, want = qes._ritz_levels(p, N), _per_entry_ritz(p, N)
+            assert len(got) == len(want), (gamma, N)
+            np.testing.assert_allclose(got[:n // 2 + 1], want[:n // 2 + 1], rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("k, level", ((0, -2.44194036), (1, 1.65920619)))
