@@ -165,7 +165,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _density_sidecar(args, profile, case_id, wf, extra):
+def _density_sidecar(profile, case_id, wf, extra):
     grid = profile.grid
     payload = {
         "kind": "density",
@@ -260,7 +260,7 @@ def cmd_density(args) -> int:
             path = write_text(base / f"{args.out}{suffix}.csv",
                               render_csv(("r", "value"), profile_rows(prof.grid, prof.values)))
             files.append(str(path))
-        payload = _density_sidecar(args, profile, case_id, wf, extra)
+        payload = _density_sidecar(profile, case_id, wf, extra)
         payload["files"] = files
         files.append(str(write_json(base / f"{args.out}.json", payload)))
         for f in files:

@@ -434,7 +434,7 @@ def _is_rational(x) -> bool:
     return isinstance(x, (int, Fraction)) or (isinstance(x, float) and x.is_integer())
 
 
-def verify_branch(wf: RadialWavefunction, params: HookeParams | None = None, grid=None) -> float:
+def verify_branch(wf: RadialWavefunction, grid=None) -> float:
     """Eigen-residual max |H u - eps_rel u| / max |u| over the grid.
 
     A direct check against the radial operator, evaluated from closed-form
@@ -443,9 +443,6 @@ def verify_branch(wf: RadialWavefunction, params: HookeParams | None = None, gri
     plus 600 on [12, _u2_range(wf)] when the support reaches past r = 12; the
     first 600 alone set a floor, so a peak past r = 12 cannot lower the result.
     """
-    if params is not None:
-        if abs(params.omega_tilde - wf.omega) > 1e-12 * max(1.0, wf.omega) or params.Z != wf.Z:
-            raise InconsistentParams("params do not match the wavefunction branch")
     core = None  # the points whose own ratio is a floor; None: the whole grid
     if grid is None:
         core = 600

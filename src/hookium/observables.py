@@ -76,11 +76,11 @@ def _rule_rows(f, rows, b: float, panels: int, tol_abs: float, tol_rel: float):
         for i in range(0, rows.size, step)])
 
 
-def default_grid(omega: float, points: int = 512, r_min: float = 1e-4, span: float = 12.0):
-    """Log-spaced radial grid on [r_min, span/sqrt(omega)]."""
+def default_grid(omega: float):
+    """512 log-spaced radii on [1e-4, 12/sqrt(omega)]."""
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return np.geomspace(r_min, span / math.sqrt(omega), points)
+    return np.geomspace(1e-4, 12.0 / math.sqrt(omega), 512)
 
 
 @dataclass(frozen=True)
@@ -280,19 +280,17 @@ class CmWidthFit:
         return abs(self.beta - self.beta_convention) <= 1e-3 * self.beta_convention
 
 
-def fit_cm_width(wf: RadialWavefunction, reference, *, r_max: float = 6.0,
-                 n_points: int = 25, bounds: tuple | None = None) -> CmWidthFit:
+def fit_cm_width(wf: RadialWavefunction, reference) -> CmWidthFit:
     """Width beta that best matches `reference(r)` (a normalized density callable).
 
-    The convolved density at the fitted beta is compared on a coarse grid by
-    relative RMS deviation; the convention value beta = 4 omega_tilde (the
-    trap's CM ground-state width at zero field) is reported alongside.
+    The search runs over [omega/10, 10 omega]. The convolved density at the
+    fitted beta is compared on 25 points over [0, 6] by relative RMS
+    deviation; the convention value beta = 4 omega_tilde (the trap's CM
+    ground-state width at zero field) is reported alongside.
     """
-    pts = np.linspace(0.0, r_max, n_points)
+    pts = np.linspace(0.0, 6.0, 25)
     ref = np.asarray([reference(float(r)) for r in pts])
     mask = ref >= 1e-6 * ref.max()
-    if bounds is None:
-        bounds = (wf.omega / 10.0, 10.0 * wf.omega)
 
     def objective(beta: float) -> float:
         q = _convolve(wf, beta, pts, "bessel", 1e-13, 1e-10)
@@ -301,8 +299,8 @@ def fit_cm_width(wf: RadialWavefunction, reference, *, r_max: float = 6.0,
 
     from scipy import optimize   # only the width fit needs it; importing it costs about 20 MB
 
-    res = optimize.minimize_scalar(objective, bounds=bounds, method="bounded",
-                                  options={"xatol": 1e-7 * wf.omega})
+    res = optimize.minimize_scalar(objective, bounds=(wf.omega / 10.0, 10.0 * wf.omega),
+                                  method="bounded", options={"xatol": 1e-7 * wf.omega})
     return CmWidthFit(beta=float(res.x), beta_convention=4.0 * wf.omega,
                       objective=float(res.fun))
 

@@ -305,33 +305,25 @@ def sturm_count(p: Poly, lo, hi) -> int:
     return _variations(chain, lo_x) - _variations(chain, hi_x)
 
 
-def _divisors(n: int):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            out.append(n // i)
-        i += 1
-    return sorted(set(out))
+_POLISH_STEPS = 4   # exact Newton steps per float root
 
 
-def _rational_root_candidates(P):
-    """Candidates (num, den) for the rational roots of P, which has P[0] != 0."""
-    a0, an = abs(P[0]), abs(P[-1])
-    if a0 > 10**12 or an > 10**12:
-        # divisor enumeration is hopeless; callers fall back to numerics
-        return []
-    dens = _divisors(an)
-    return [(s * num, d) for num in _divisors(a0) for d in dens for s in (1, -1)]
-
-
-def real_roots(p: Poly, polish_steps: int = 4):
+def real_roots(p: Poly):
     """All real roots of p with multiplicity: (rational list, float list).
 
-    Rational roots are found exactly and deflated; whatever remains goes to the
-    companion matrix, keeping roots with |imag| < 1e-10 and polishing each by
-    Newton steps against the exact coefficients.
+    Rational roots come by reconstruction and are deflated exactly. With L the
+    |leading coefficient| of p's primitive integer form, every rational root
+    is k / L for an integer k; each companion-matrix root z, complex ones
+    included (a repeated root may split into a near-real pair), proposes
+    k = round(Re z * L), kept if p(k / L) = 0 exactly. The search is complete
+    when some companion root lies within 1 / (2L) of each rational root. That
+    holds for the s-polynomials of `hooke.solve_frequencies`, whose primitive
+    form is monic (L = 1). Float coefficients skip the search: their binary
+    rationals mean nothing.
+
+    What remains goes to the companion matrix again (only if something was
+    deflated); roots with |imag| < 1e-10 are kept and polished by Newton steps
+    against the exact coefficients.
     """
     inexact = any(isinstance(c, float) for c in p.coeffs)
     p = p.as_fractions()
@@ -343,36 +335,35 @@ def real_roots(p: Poly, polish_steps: int = 4):
         rational.append(Fraction(0))
         p = Poly(p.coeffs[1:])
     P, D = _integer_form(p)
-    # float input: binary-expansion "rationals" are meaningless, go numeric
-    cands = [] if inexact or p.degree < 1 else _rational_root_candidates(P)
-    while p.degree > 0:
-        hit = next((c for c in cands if not _scaled_value(P, *c)), None)
-        if hit is None:
-            break
-        root = Fraction(*hit)
-        rational.append(root)
-        p, rem = divmod(p, Poly((-root, Fraction(1))))
-        assert rem.is_zero()
-        P, D = _integer_form(p)
+    roots = np.roots([float(c) for c in reversed(p.coeffs)])
+    if not inexact:
+        L = abs(_primitive(P)[-1])
+        degree = p.degree
+        for k in dict.fromkeys(round(Fraction(z.real) * L) for z in roots):
+            while p.degree > 0 and not _scaled_value(P, k, L):
+                root = Fraction(k, L)
+                rational.append(root)
+                p, rem = divmod(p, Poly((-root, Fraction(1))))
+                assert rem.is_zero()
+                P, D = _integer_form(p)
+        if p.degree < degree:
+            roots = np.roots([float(c) for c in reversed(p.coeffs)])
     irrational: list[float] = []
-    if p.degree > 0:
-        coeffs = [float(c) for c in p.coeffs]
-        roots = np.roots(coeffs[::-1])
-        dP = _derivative(P)
-        for z in roots:
-            if abs(z.imag) >= 1e-10:
-                continue
-            x = float(z.real)
-            for _ in range(polish_steps):
-                # int / int rounds correctly, as float(Fraction) does
-                num, den = x.as_integer_ratio()
-                fx = _scaled_value(P, num, den) / (den ** (len(P) - 1) * D)
-                dfx = _scaled_value(dP, num, den) / (den ** (len(dP) - 1) * D)
-                if dfx == 0.0:
-                    break
-                step = fx / dfx
-                x -= step
-                if abs(step) <= 1e-17 * max(1.0, abs(x)):
-                    break
-            irrational.append(x)
+    dP = _derivative(P)
+    for z in roots:
+        if abs(z.imag) >= 1e-10:
+            continue
+        x = float(z.real)
+        for _ in range(_POLISH_STEPS):
+            # int / int rounds correctly, as float(Fraction) does
+            num, den = x.as_integer_ratio()
+            fx = _scaled_value(P, num, den) / (den ** (len(P) - 1) * D)
+            dfx = _scaled_value(dP, num, den) / (den ** (len(dP) - 1) * D)
+            if dfx == 0.0:
+                break
+            step = fx / dfx
+            x -= step
+            if abs(step) <= 1e-17 * max(1.0, abs(x)):
+                break
+        irrational.append(x)
     return sorted(rational), sorted(irrational)

@@ -41,14 +41,6 @@ class ResonanceError(ArithmeticError):
     """
 
 
-def _is_exact(value) -> bool:
-    if isinstance(value, (int, Fraction)):
-        return True
-    if isinstance(value, Poly):
-        return all(isinstance(c, (int, Fraction)) for c in value.coeffs)
-    return False
-
-
 def _falling(s, j: int):
     out = 1
     for i in range(j):
@@ -61,8 +53,7 @@ class PowerSeries:
 
     base is the leading exponent; offsets are integers. The leading stored
     coefficient is nonzero unless the series is identically zero. Coefficient
-    values may be Fraction (exact-rational mode), Poly in a formal symbol,
-    or any real scalar type (extended-precision-real mode).
+    values may be Fraction, Poly in a formal symbol, or any real scalar type.
     """
 
     __slots__ = ("base", "coeffs")
@@ -89,13 +80,6 @@ class PowerSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def coefficient_kind(self) -> str:
-        """'exact-rational' when nothing in the series has been rounded."""
-        if all(_is_exact(c) for c in self.coeffs) and isinstance(self.base, (int, Fraction)):
-            return "exact-rational"
-        return "extended-precision-real"
 
     def exponents(self):
         return [self.base + i for i in range(len(self.coeffs))]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hookium import hooke
-from hookium.polyops import Poly, exact_sqrt, real_roots, sturm_count
+from hookium.polyops import Poly, _integer_form, _primitive, exact_sqrt, real_roots, sturm_count
 
 
 def test_arithmetic_round_trip():
@@ -94,6 +94,29 @@ def test_real_roots_huge_coefficients_do_not_hang():
     assert any(abs(r - want) < 1e-3 for r in irrational) or any(
         abs(float(r) - want) < 1e-3 for r in rational)
 
+
+
+def test_real_roots_rational_root_beside_huge_coefficients():
+    # (7x - 3)(x^2 - 10^15): 3/7 is found exactly even though |a_0| = 3 * 10^15
+    p = Poly([Fraction(3 * 10**15), Fraction(-7 * 10**15), Fraction(-3), Fraction(7)])
+    rational, irrational = real_roots(p)
+    assert rational == [Fraction(3, 7)]
+    assert len(irrational) == 2
+    assert irrational[0] == pytest.approx(-math.sqrt(1e15), rel=1e-15)
+    assert irrational[1] == pytest.approx(math.sqrt(1e15), rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [0, 5, 10])
+def test_s_polynomials_monic_and_branch_count_certified(m):
+    # reconstruction is complete on the s-polynomials because their primitive
+    # integer form is monic (rational roots are integers); no branch is lost
+    # to the |imag| or positivity filters of real_roots / solve_frequencies
+    for n in range(2, 33):
+        even, odd = hooke.quantization_polynomial(n, m).even_odd_parts()
+        s_poly = odd if n % 2 else even
+        P, _ = _integer_form(s_poly)
+        assert abs(_primitive(P)[-1]) == 1, (n, m)
+        assert len(hooke.solve_frequencies(n, m, 1)) == sturm_count(s_poly, 0, math.inf), (n, m)
 
 # Reference for the integer kernels: the Sturm chain, candidate test and
 # Newton polish written over Fraction coefficients, one Fraction operation at

@@ -110,7 +110,6 @@ def test_exact_sector_states(mapped_sector):
 
 def test_node_count_exact_rational_path(exact_sector):
     u = qes.qes_eigen_series(Fraction(2), exact_sector, 12)
-    assert u.coefficient_kind == "exact-rational"
     assert qes.node_count(u, (0.0, 4.0)) == 1
 
 

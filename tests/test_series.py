@@ -31,12 +31,6 @@ def test_power_series_addition_alignment():
                                        for e in c.exponents())
 
 
-def test_coefficient_kind_tracking():
-    exact = PowerSeries(0, [Fraction(1), Fraction(2)])
-    assert exact.coefficient_kind == "exact-rational"
-    assert exact.scaled(1.5).coefficient_kind == "extended-precision-real"
-
-
 def test_euler_polynomial_matches_operator():
     # F(D) x^s = F(s) x^s, so the Stirling expansion must reproduce x y'
     F = EulerPolynomial.from_roots([0, Fraction(-3)])
