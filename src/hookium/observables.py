@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sf
 
 from .hooke import (
     CenterOfMassState,
@@ -56,10 +55,12 @@ def bessel_i(order: int, x, scaled: bool = False):
     The scaled form e^(-x) I_nu(x) stays finite for the r^2-sized arguments
     the density expressions produce.
     """
+    from scipy import special   # imported where used: a cold `import hookium` skips SciPy
+
     if order == 0:
-        return _sf.i0e(x) if scaled else _sf.i0(x)
+        return special.i0e(x) if scaled else special.i0(x)
     if order == 1:
-        return _sf.i1e(x) if scaled else _sf.i1(x)
+        return special.i1e(x) if scaled else special.i1(x)
     raise ValueError("order must be 0 or 1")
 
 
@@ -142,10 +143,11 @@ def _convolve(wf: RadialWavefunction, beta: float, r, angular: str,
     """
     if angular not in ("bessel", "numeric"):
         raise ValueError("angular must be 'bessel' or 'numeric'")
+    from scipy import special
 
     def f(rows, rp):
         z = beta * rows * rp
-        mean = _sf.i0e(z) if angular == "bessel" else _angular_mean(z, tol_abs, tol_rel)
+        mean = special.i0e(z) if angular == "bessel" else _angular_mean(z, tol_abs, tol_rel)
         return wf.u_squared(rp) * np.exp(-beta * (rows - 0.5 * rp) ** 2) * mean
     return (2.0 * beta / math.pi) * _rule_rows(f, r, _u2_range(wf), _PANELS, tol_abs, tol_rel)
 
@@ -204,6 +206,8 @@ class ClosedFormDensityCase:
     sign: int
 
     def raw(self, r):
+        from scipy import special
+
         r = np.asarray(r, dtype=float)
         r2 = r * r
         pe = np.polynomial.polynomial.polyval(r2, self.pe)
@@ -212,7 +216,7 @@ class ClosedFormDensityCase:
         root = math.sqrt(self.root_factor * math.pi)
         z = self.bessel_scale * r2
         out = np.exp(-self.gauss * r2) * (
-            pe + self.sign * root * (p0 * _sf.i0e(z) + p1 * _sf.i1e(z)))
+            pe + self.sign * root * (p0 * special.i0e(z) + p1 * special.i1e(z)))
         return out if out.ndim else float(out)
 
     @property

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import linalg as _linalg
-from scipy import special as _special
 
 from .hooke import RadialWavefunction, _is_rational, recurrence_coefficients
 from .polyops import Poly, exact_sqrt, real_roots, sturm_count
@@ -292,7 +290,7 @@ def node_count(series: PowerSeries, domain=(0.0, math.inf)) -> int:
     """Distinct zeros of an even polynomial series in the half-open interval (lo, hi], lo >= 0.
 
     The series is a polynomial q in y = x^2, and x -> x^2 maps (lo, hi] onto
-    (lo^2, hi^2], so an exact Sturm count of q there counts the zeros in x;
+    (lo^2, hi^2], so an exact count of q there (sturm_count) counts the zeros in x;
     float coefficients enter as their binary rationals.
     """
     lo, hi = domain
@@ -332,11 +330,13 @@ def _moments(p: SexticParams, count: int) -> np.ndarray:
     With psi0^2 = x^(2m+2) exp(-b x^4), b = sqrt(gamma)/2, this is the Gamma
     moment Gamma(q) / (4 b^q), q = (2m + 3 + k)/4.
     """
+    from scipy import special   # imported where used: a cold `import hookium` skips SciPy
+
     q = (2.0 * float(p.m) + 3.0 + np.arange(count)) / 4.0
     if q[0] <= 0:
         raise ValueError("psi0^2 is not integrable at x = 0 for m <= -3/2")
     b = float(p.sqrt_gamma) / 2.0
-    return _special.gamma(q) / (4.0 * b**q)
+    return special.gamma(q) / (4.0 * b**q)
 
 
 def _inner(p: SexticParams, f: PowerSeries, g: PowerSeries) -> float:
@@ -400,6 +400,8 @@ def _ritz_levels(p: SexticParams, N: int) -> np.ndarray:
     diagonal, and the basis stops at the first Cholesky pivot of S below
     _RITZ_PIVOT_FLOOR, so a large N can return fewer than N//2 + 1 values.
     """
+    from scipy import linalg
+
     sg, A, m = float(p.sqrt_gamma), float(p.A), float(p.m)
     size = N // 2 + 1
     j = np.arange(size)
@@ -410,11 +412,11 @@ def _ritz_levels(p: SexticParams, N: int) -> np.ndarray:
     H = -j * (2 * j + 1 + 2 * m) * mu[np.maximum(k - 2, 0)] + (2 * j * sg + A) * mu[k + 2]
     scale = 1.0 / np.sqrt(np.diag(S))
     S, H = S * np.outer(scale, scale), H * np.outer(scale, scale)
-    L, info = _linalg.lapack.dpotrf(S, lower=1)  # info > 0: the block of order info is not PD
+    L, info = linalg.lapack.dpotrf(S, lower=1)  # info > 0: the block of order info is not PD
     pivots = np.diag(L)[:info - 1 if info else size] ** 2
     small = np.flatnonzero(pivots < _RITZ_PIVOT_FLOOR)
     keep = small[0] if small.size else pivots.size
-    return _linalg.eigh(H[:keep, :keep], S[:keep, :keep], eigvals_only=True)
+    return linalg.eigh(H[:keep, :keep], S[:keep, :keep], eigvals_only=True)
 
 
 def variational_state(p: SexticParams, target_nodes: int, N: int,

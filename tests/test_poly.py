@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hookium import hooke
-from hookium.polyops import Poly, _integer_form, _primitive, exact_sqrt, real_roots, sturm_count
+from hookium import hooke, polyops, qes
+from hookium.polyops import (Poly, _integer_form, _primitive, _sturm_chain, _variations, exact_sqrt,
+                              real_roots, sturm_count)
 
 
 def test_arithmetic_round_trip():
@@ -56,6 +57,15 @@ def test_sturm_count_open_closed_convention():
     assert sturm_count(p, 0, 2) == 1
     assert sturm_count(p, 3, 10) == 0
     assert sturm_count(p, -math.inf, math.inf) == 2
+
+
+def test_sturm_count_rejects_empty_interval():
+    p = Poly([Fraction(6), Fraction(-5), Fraction(1)])
+    for lo, hi in ((10, 0), (math.inf, -math.inf), (Fraction(5, 2), 2.0)):
+        with pytest.raises(ValueError, match="empty interval"):
+            sturm_count(p, lo, hi)
+    assert sturm_count(p, 2, 2) == 0
+    assert sturm_count(p, math.inf, math.inf) == 0
 
 
 def test_real_roots_rational():
@@ -196,6 +206,15 @@ def _ref_real_roots(p, polish_steps=4):
     return sorted(rational), sorted(irrational)
 
 
+def _r_poly(b):
+    """The r-polynomial of a branch with integer Z and m, as build_wavefunction builds it."""
+    exact = b.omega_exact is not None
+    w = b.omega_exact if exact else b.omega_tilde
+    Zc = Fraction(int(b.Z)) if exact else b.Z
+    m_abs = abs(Fraction(b.m)) if exact else float(b.m_abs)
+    return Poly(hooke.recurrence_coefficients(Zc, 2 * (b.n - 1), m_abs, b.n, w))
+
+
 def _oracle_polys():
     """Quantization s-polynomials and r-polynomials (n <= 16), then seeded random
     ones: products with repeated rational roots, their float copies, sparse ones."""
@@ -206,12 +225,7 @@ def _oracle_polys():
             yield odd if n % 2 else even
         for Z in (1, -1):
             for b in hooke.solve_frequencies(n, 0, Z):
-                # the r-polynomial as build_wavefunction builds it
-                exact = b.omega_exact is not None
-                w = b.omega_exact if exact else b.omega_tilde
-                Zc = Fraction(Z) if exact else b.Z
-                m_abs = Fraction(0) if exact else 0.0
-                yield Poly(hooke.recurrence_coefficients(Zc, 2 * (n - 1), m_abs, n, w))
+                yield _r_poly(b)
     rng = random.Random(20261018)
     for trial in range(150):
         p = Poly([Fraction(rng.choice([-2, -1, 1, 3]))])
@@ -269,3 +283,94 @@ def test_compensated_horner_matches_exact_value():
     y = np.array([0.5, 1.25, 3.0])
     want = [float(q(Fraction(v))) for v in y]
     assert _compensated_horner(q, y).tolist() == want
+
+
+# The interlacing certificate inside sturm_count against the chain it replaces.
+
+def _chain_count(chain, lo, hi):
+    ends = [x if x in (math.inf, -math.inf) else Fraction(x) for x in (lo, hi)]
+    return _variations(chain, ends[0]) - _variations(chain, ends[1])
+
+
+def _ladder_r_polys():
+    """The r-polynomial of every branch of the spectrum ladder (n <= 32, m walking 0..10), Z = +-1."""
+    for n in list(range(2, 15)) + list(range(16, 33, 2)):
+        for Z in (1, -1):
+            m = (n + (8 if Z > 0 else 9)) % 11
+            for b in hooke.solve_frequencies(n, m, Z):
+                yield _r_poly(b)
+
+
+def _sector_node_count_calls(N, monkeypatch):
+    """(q, lo, hi, count) of every sturm_count call node_count makes in the sector-grid searches."""
+    calls = []
+
+    def record(q, lo, hi):
+        calls.append((q, lo, hi, sturm_count(q, lo, hi)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(qes, "sturm_count", record)
+    for gamma in (Fraction(1, 4), Fraction(4, 9), Fraction(1), Fraction(9, 4), Fraction(4)):
+        for m in (Fraction(-1, 2), Fraction(0), Fraction(1)):
+            for n in (2, 4, 6, 8):
+                p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
+                for k in range(n // 2 + 1):
+                    try:
+                        qes.variational_state(p, k, N)
+                    except qes.NodeCountUnreachable:
+                        pass   # a spurious node past the sector state; the count still ran
+    monkeypatch.setattr(qes, "sturm_count", sturm_count)
+    return calls
+
+
+def _random_polys(rng):
+    """Products of rational linear factors (some repeated) and x^2 + c factors (c > 0:
+    a complex pair), with their roots; every third one in float coefficients."""
+    for trial in range(120):
+        p, roots = Poly([Fraction(rng.choice([-3, -1, 1, 2]))]), []
+        for _ in range(rng.randint(1, 5)):
+            r = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+            roots.append(r)
+            factor = Poly([-r, Fraction(1)])
+            p = p * factor if rng.random() < 0.6 else p * factor * factor
+        if rng.random() < 0.4:
+            p = p * Poly([Fraction(rng.randint(1, 9), rng.randint(1, 4)), Fraction(0), Fraction(1)])
+        if trial % 3 == 2:
+            p = Poly([float(c) for c in p.coeffs])
+        yield p, roots
+
+
+def test_interlaced_count_matches_chain(monkeypatch):
+    routes = []
+    interlaced = polyops._interlaced_count
+
+    def spy(*args):
+        count = interlaced(*args)
+        routes.append(count is not None)
+        return count
+
+    monkeypatch.setattr(polyops, "_interlaced_count", spy)
+    rng = random.Random(20261018)
+    ends = [(0, math.inf), (-math.inf, math.inf), (-math.inf, 0), (float("-inf"), float("inf")),
+            (Fraction(-1, 3), Fraction(5, 2)), (0.5, 2.25), (-1.5, Fraction(7, 4)),
+            (Fraction(2, 3), Fraction(2, 3)), (1.0, 1.0), (math.inf, math.inf)]
+    cases = [(p, [(0, math.inf), (-math.inf, math.inf), (Fraction(1, 3), 2.5)]) for p in _ladder_r_polys()]
+    for p, roots in _random_polys(rng):
+        # roots exactly at an end: (lo, hi] counts the root at hi and not the one at lo
+        cases.append((p, ends + [(r, r + 1) for r in roots] + [(r - 1, r) for r in roots]
+                      + [(r, r) for r in roots]))
+    big = Poly([-1e-300, 0.0, 1e300])   # its integer form has entries past the float range
+    cases.append((big, ends))
+    cases.append((Poly([1e300, 0.0, -1e-300]), ends))   # the companion matrix overflows
+    cases.append((Poly([Fraction(6), Fraction(-5), Fraction(1)]) * Poly([Fraction(-2), Fraction(1)]),
+                  ends))   # verify's (x-2)^2 (x-3)
+    for p, intervals in cases:
+        chain = _sturm_chain(_integer_form(p)[0])
+        for lo, hi in intervals:
+            assert sturm_count(p, lo, hi) == _chain_count(chain, lo, hi), (p, lo, hi)
+    # node_count's own calls, each compared as the search made it (N = 60 costs seconds per pass)
+    for N in (16, 60):
+        for q, lo, hi, count in _sector_node_count_calls(N, monkeypatch):
+            assert count == _chain_count(_sturm_chain(_integer_form(q)[0]), lo, hi), (N, q, lo, hi)
+    assert sturm_count(big, 0, math.inf) == 1 and sturm_count(big, -math.inf, math.inf) == 2
+    assert True in routes and False in routes
