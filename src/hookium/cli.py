@@ -595,6 +595,9 @@ def main(argv=None) -> int:
     except QuadratureNonConvergence as exc:
         print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
+    except hooke.EquilibriumError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_QUADRATURE
     except (qes.NodeCountUnreachable, qes.BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH

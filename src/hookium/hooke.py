@@ -12,8 +12,10 @@ from the roots of an exact polynomial in kappa = Z / sqrt(w).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +29,7 @@ from .series import EulerPolynomial, MonomialOperator
 __all__ = [
     "CenterOfMassState",
     "EnergyRecord",
+    "EquilibriumError",
     "HookeParams",
     "InconsistentParams",
     "NoBranchError",
@@ -49,6 +52,10 @@ class NoBranchError(LookupError):
 
 class InconsistentParams(ValueError):
     """Trap parameters disagree with the branch they are paired with."""
+
+
+class EquilibriumError(ArithmeticError):
+    """A chamber's Stieltjes equilibrium did not converge, or its roots miss the branch's kappa."""
 
 
 @dataclass(frozen=True)
@@ -79,12 +86,17 @@ class HookeParams:
                    omega0=math.sqrt(disc), omegaL=omegaL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantizationBranch:
     """One admissible frequency for (n, m, Z), with exact values when they exist.
 
     n is the termination index: the radial polynomial has degree n - 1. kappa
-    is Z / sqrt(omega_tilde) and always carries the sign of Z.
+    is Z / sqrt(omega_tilde) and always carries the sign of Z. chamber is N+,
+    the number of positive roots (nodes) of that polynomial. In rho =
+    sqrt(omega_tilde) r its roots are the one critical point of the Stieltjes
+    energy in the chamber of configurations with N+ positive roots, and
+    solve_frequencies reads N+ off the branch's rank (repulsive branch k of B,
+    in descending omega, has B - 1 - k; attractive branch k has n - B + k).
     """
 
     n: int
@@ -94,6 +106,7 @@ class QuantizationBranch:
     omega_tilde: float
     kappa_sq_exact: Fraction | None = None
     omega_exact: Fraction | None = None
+    chamber: int | None = None
 
     @property
     def m_abs(self):
@@ -130,6 +143,47 @@ def hooke_series_operator(m_abs, kappa, e_tilde):
     return F, P
 
 
+def _recurrence(kappa, e_tilde, m_abs, omega=1):
+    """a_0, a_1, ... of the recurrence, without end; see recurrence_coefficients.
+
+    A symbolic kappa (None) gives each a_j as (P, D): integer coefficients of
+    kappa^0, kappa^1, ... over one common denominator D > 0, reduced by their
+    gcd at every step, so no Fraction arithmetic runs.
+    """
+    if kappa is None:
+        def step(prev, prev2, b, c):
+            num, den = [0] + prev[0], prev[1]       # kappa a_{j-1}
+            if prev2 is not None:
+                (P2, d2), b = prev2, Fraction(b)
+                den = math.lcm(den, d2 * b.denominator)
+                num = [x * (den // prev[1]) for x in num]
+                f = b.numerator * (den // (d2 * b.denominator))
+                for i, x in enumerate(P2):
+                    num[i] += f * x
+            c = Fraction(c)
+            num, den = [x * c.denominator for x in num], den * c.numerator
+            g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+            return [x // g for x in num], den // g
+        prev = ([1], 1)
+    else:
+        def step(prev, prev2, b, c):
+            term = kappa * prev
+            if prev2 is not None:
+                term = term + b * prev2
+            return term / c
+        prev = Fraction(1) if isinstance(kappa, (int, Fraction, Poly)) else 1.0
+    prev2 = None
+    for j in itertools.count(1):
+        yield prev
+        prev, prev2 = step(prev, prev2, omega * (2 * (j - 2) - e_tilde), j * (j + 2 * m_abs)), prev
+
+
+def _kappa_poly(a) -> Poly:
+    """A symbolic a_j from _recurrence as a Poly in kappa with Fraction coefficients."""
+    P, den = a
+    return Poly([Fraction(x, den) for x in P])
+
+
 def recurrence_coefficients(kappa, e_tilde, m_abs, count: int, omega=1):
     """First `count` series coefficients a_0..a_{count-1} of the radial polynomial factor.
 
@@ -137,18 +191,11 @@ def recurrence_coefficients(kappa, e_tilde, m_abs, count: int, omega=1):
     with a_0 = 1. This is the package's one recurrence: with omega = 1 it runs in
     the scaled variable rho (kappa = Z / sqrt(omega_tilde)); with omega = omega_tilde
     and kappa = Z it runs in r; under x^2 = r it gives the sextic sector series.
-    Pass kappa=None to carry it as a formal symbol (exact Poly output).
+    Pass kappa=None to carry it as a formal symbol (exact Poly output, built
+    from integer coefficients over one common denominator).
     """
-    symbolic = kappa is None
-    kap = Poly.symbol() if symbolic else kappa
-    one = Fraction(1) if symbolic or isinstance(kap, (int, Fraction, Poly)) else 1.0
-    out = [one * 1]
-    for j in range(1, count):
-        term = kap * out[j - 1]
-        if j >= 2:
-            term = term + omega * (2 * (j - 2) - e_tilde) * out[j - 2]
-        out.append(term / (j * (j + 2 * m_abs)))
-    return out
+    out = list(itertools.islice(_recurrence(kappa, e_tilde, m_abs, omega), count))
+    return [_kappa_poly(a) for a in out] if kappa is None else out
 
 
 def quantization_polynomial(n: int, m) -> Poly:
@@ -161,10 +208,10 @@ def quantization_polynomial(n: int, m) -> Poly:
     if n < 1:
         raise ValueError("n must be >= 1")
     m_abs = abs(Fraction(m)) if isinstance(m, (int, Fraction)) else abs(m)
-    return recurrence_coefficients(None, 2 * (n - 1), m_abs, n + 1)[n]
+    return _kappa_poly(next(itertools.islice(_recurrence(None, 2 * (n - 1), m_abs), n, None)))
 
 
-def _branch_from_s(n, m, Z, s_exact: Fraction | None, s_float: float) -> QuantizationBranch:
+def _branch_from_s(n, m, Z, s_exact: Fraction | None, s_float: float, chamber: int) -> QuantizationBranch:
     omega_exact = None
     if s_exact is not None:
         s_float = float(s_exact)
@@ -173,7 +220,7 @@ def _branch_from_s(n, m, Z, s_exact: Fraction | None, s_float: float) -> Quantiz
     kappa = math.copysign(math.sqrt(s_float), Z)
     omega = Z * Z / s_float
     return QuantizationBranch(n=n, m=m, Z=float(Z), kappa=kappa, omega_tilde=omega,
-                              kappa_sq_exact=s_exact, omega_exact=omega_exact)
+                              kappa_sq_exact=s_exact, omega_exact=omega_exact, chamber=chamber)
 
 
 def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
@@ -181,7 +228,9 @@ def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
 
     Frequencies follow from positive roots of the quantization polynomial in
     s = kappa^2; rational roots are kept exact so omega_tilde = Z^2 / s stays
-    an exact Fraction where the closed forms are rational.
+    an exact Fraction where the closed forms are rational. Each branch's
+    chamber follows from its rank k among the B branches: B - 1 - k for
+    Z > 0 and n - B + k for Z < 0.
     """
     if n < 2:
         raise NoBranchError("n = 1 exists only at Z = 0; use oscillator_branch")
@@ -194,17 +243,13 @@ def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
     if s_poly.is_zero() or s_poly.degree < 1:
         raise NoBranchError(f"no admissible coupling for n={n}, m={m}")
     rational, irrational = real_roots(s_poly)
-    branches = []
-    for s in rational:
-        if s > 0:
-            branches.append(_branch_from_s(n, m, Z, s, float(s)))
-    for s in irrational:
-        if s > 1e-12:
-            branches.append(_branch_from_s(n, m, Z, None, s))
-    if not branches:
+    roots = [(float(s), s) for s in rational if s > 0] + [(s, None) for s in irrational if s > 1e-12]
+    if not roots:
         raise NoBranchError(f"no positive root of the quantization polynomial for n={n}, m={m}")
-    branches.sort(key=lambda b: -b.omega_tilde)
-    return branches
+    roots.sort(key=lambda root: root[0])   # ascending s = Z^2 / omega: descending omega
+    B = len(roots)
+    return [_branch_from_s(n, m, Z, exact, s, B - 1 - k if Z > 0 else n - B + k)
+            for k, (s, exact) in enumerate(roots)]
 
 
 def oscillator_branch(m, omega_tilde) -> QuantizationBranch:
@@ -213,7 +258,7 @@ def oscillator_branch(m, omega_tilde) -> QuantizationBranch:
         raise ValueError("omega_tilde must be positive")
     om = Fraction(omega_tilde) if isinstance(omega_tilde, (int, Fraction)) else None
     return QuantizationBranch(n=1, m=m, Z=0.0, kappa=0.0, omega_tilde=float(omega_tilde),
-                              kappa_sq_exact=None, omega_exact=om)
+                              kappa_sq_exact=None, omega_exact=om, chamber=0)
 
 
 @dataclass(frozen=True)
@@ -241,12 +286,40 @@ class CenterOfMassState:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class RadialWavefunction:
-    """Normalized radial profile u(r) = norm * exp(-w r^2/2) r^(|m|+1/2) poly(r).
+class _RootProduct(Poly):
+    """prod(1 - x / r_k) as a Poly: only the roots are stored, the coefficients
+    (a_0 = 1) are expanded each time they are read."""
 
-    poly keeps exact rational coefficients whenever the branch frequency is
-    rational; evaluation is always in floats.
+    __slots__ = ("roots",)
+
+    def __init__(self, roots: np.ndarray):
+        self.roots = roots
+
+    def __reduce__(self):   # pickle and copy by the roots; Poly's coeffs slot is unused here
+        return _RootProduct, (self.roots,)
+
+    @property
+    def coeffs(self) -> tuple:
+        c = [1.0]
+        for root in self.roots.tolist():
+            c = [a - b / root for a, b in zip(c + [0.0], [0.0] + c)]
+        return tuple(c)
+
+    @property
+    def degree(self) -> int:
+        return len(self.roots)
+
+
+@dataclass(frozen=True, slots=True)
+class RadialWavefunction:
+    """Normalized radial profile u(r) = norm * exp(-w r^2/2) r^(|m|+1/2) p(r).
+
+    A state built at irrational omega has a _RootProduct as poly: it stores
+    the roots r_k of p, every evaluation uses p(r) = prod(1 - r / r_k), and
+    the float coefficients (a_0 = 1) are expanded only for their readers.
+    Otherwise (rational omega, and profiles built elsewhere) p is poly itself,
+    with exact rational coefficients when the branch frequency is rational.
+    Evaluation is always in floats.
     """
 
     m_abs: float
@@ -258,6 +331,11 @@ class RadialWavefunction:
     branch: QuantizationBranch | None = None
 
     @property
+    def roots(self) -> np.ndarray | None:
+        """The roots r_k of p when the state was built from them, else None."""
+        return self.poly.roots if isinstance(self.poly, _RootProduct) else None
+
+    @property
     def nu(self) -> float:
         return float(self.m_abs) + 0.5
 
@@ -265,29 +343,60 @@ class RadialWavefunction:
         """Radius beyond which exp(-w r^2) has dropped by e**-log_tail."""
         return math.sqrt(log_tail / self.omega)
 
+    def factor(self, r):
+        """The polynomial factor p(r) on a float array."""
+        roots = self.roots
+        if roots is None:
+            return self.poly(r)
+        if r.ndim == 0:   # one point (the adaptive oracles): Python floats, same rounding
+            x, p = float(r), 1.0
+            for root in roots.tolist():
+                p *= 1.0 - x / root
+            return p
+        p, f = np.ones_like(r), np.empty_like(r)   # one factor buffer: no array per root
+        for root in roots.tolist():
+            np.divide(r, root, out=f)
+            np.subtract(1.0, f, out=f)
+            p *= f
+        return p
+
+    def _factor_derivatives(self, r):
+        """(p, p', p'') on a float array; with roots, by the product rule, dividing by no factor."""
+        roots = self.roots
+        if roots is None:
+            dpoly = self.poly.derivative()
+            return self.poly(r), dpoly(r), dpoly.derivative()(r)
+        p, dp, ddp = np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+        for root in roots.tolist():
+            f, df = 1.0 - r / root, -1.0 / root
+            ddp *= f
+            ddp += (2.0 * df) * dp
+            dp *= f
+            dp += df * p
+            p *= f
+        return p, dp, ddp
+
     def u(self, r):
         r = np.asarray(r, dtype=float)
-        out = self.norm * np.exp(-0.5 * self.omega * r * r) * r**self.nu * self.poly(r)
+        out = self.norm * np.exp(-0.5 * self.omega * r * r) * r**self.nu * self.factor(r)
         return out if out.ndim else float(out)
 
     def u_squared(self, r):
         """u^2 written with r^(2|m|) * r, smooth at the origin."""
         r = np.asarray(r, dtype=float)
         out = (self.norm**2 * np.exp(-self.omega * r * r)
-               * r ** (2 * float(self.m_abs) + 1) * self.poly(r) ** 2)
+               * r ** (2 * float(self.m_abs) + 1) * self.factor(r) ** 2)
         return out if out.ndim else float(out)
 
     def density_radial(self, r):
-        """u^2 / r = norm^2 exp(-w r^2) r^(2|m|) poly^2; finite everywhere."""
+        """u^2 / r = norm^2 exp(-w r^2) r^(2|m|) p^2; finite everywhere."""
         r = np.asarray(r, dtype=float)
-        out = self.norm**2 * np.exp(-self.omega * r * r) * r ** (2 * float(self.m_abs)) * self.poly(r) ** 2
+        out = self.norm**2 * np.exp(-self.omega * r * r) * r ** (2 * float(self.m_abs)) * self.factor(r) ** 2
         return out if out.ndim else float(out)
 
     def u_second(self, r):
         r = np.asarray(r, dtype=float)
-        p = self.poly(r)
-        dpoly = self.poly.derivative()
-        dp, ddp = dpoly(r), dpoly.derivative()(r)
+        p, dp, ddp = self._factor_derivatives(r)
         nu, w = self.nu, self.omega
         wv = r**nu * p
         wd = r ** (nu - 1) * (nu * p + r * dp)
@@ -297,7 +406,10 @@ class RadialWavefunction:
 
     @property
     def nodes(self) -> int:
-        """Positive real zeros of the polynomial factor."""
+        """Positive real zeros of the polynomial factor: the positive roots, else a Sturm count."""
+        roots = self.roots
+        if roots is not None:
+            return int(np.count_nonzero(roots > 0))
         if self.poly.degree < 1:
             return 0
         return sturm_count(self.poly, 0, math.inf)
@@ -410,24 +522,107 @@ def _certify(wf: RadialWavefunction) -> None:
             f"error {error:.3e}; need both within {_NORM_TOL:.0e} (of 1 and of 0)")
 
 
-def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
-    """Normalized u for a branch; polynomial built by the recurrence run in r.
+_NEWTON_STEPS = 100    # damped Newton steps allowed per chamber
+_STEP_TOL = 1e-13      # converged: a full step below this times max |zeta|
+_KAPPA_TOL = 1e-12     # allowed |-2 sum(zeta) - kappa| / |kappa|
 
-    In r the recurrence needs only Z and omega_tilde (kappa = Z, omega =
-    omega_tilde), so coefficients stay exact rationals whenever omega_tilde is
-    rational. The norm is exact up to its final rounding; `_certify` then
-    rejects a state whose float evaluation is too noisy to be normalized.
+
+def _stieltjes_roots(N: int, nu: float, n_pos: int) -> np.ndarray:
+    """The N roots zeta (ascending, n_pos of them positive) of the polynomial factor in rho.
+
+    At a root of p(rho) the radial equation reads
+    zeta_k - nu / zeta_k - sum_(j != k) 1 / (zeta_k - zeta_j) = 0: zeta is a
+    critical point of E = sum zeta^2 / 2 - nu sum ln|zeta| - sum_(j<k) ln|zeta_j - zeta_k|
+    (Stieltjes 1885). E is strictly convex on each chamber, the ordered
+    configurations with n_pos positive roots, so the chamber holds exactly
+    one. Damped Newton finds it with the dense Hessian, from roots spread
+    evenly on each side of 0 out to sqrt(2N + 2 nu + 1), halving each step
+    until every root stays in the chamber.
     """
-    exact = branch.omega_exact is not None and float(branch.Z).is_integer()
-    w = branch.omega_exact if exact else branch.omega_tilde
-    Zc = Fraction(int(branch.Z)) if exact else branch.Z
-    m_abs = abs(Fraction(branch.m)) if exact and _is_rational(branch.m) else float(branch.m_abs)
-    poly = Poly(recurrence_coefficients(Zc, 2 * (branch.n - 1), m_abs, branch.n, w))
-    wf = RadialWavefunction(m_abs=float(branch.m_abs), omega=branch.omega_tilde,
-                            Z=float(branch.Z), eps_rel=branch.eps_rel,
-                            poly=poly, norm=_norm_constant(m_abs, w, poly), branch=branch)
-    _certify(wf)
-    return wf
+    if not 0 <= n_pos <= N:
+        raise ValueError(f"chamber N+ = {n_pos} is outside 0..{N}")
+    n_neg = N - n_pos
+    s = math.sqrt(2 * N + 2 * nu + 1)
+    z = np.concatenate([-s * (np.arange(n_neg, 0, -1) - 0.5) / max(n_neg, 1),
+                        s * (np.arange(1, n_pos + 1) - 0.5) / max(n_pos, 1)])
+    if N == 0:
+        return z
+    for _ in range(_NEWTON_STEPS):
+        d = z[:, None] - z
+        d.flat[::N + 1] = 1.0
+        inv = 1.0 / d
+        inv.flat[::N + 1] = 0.0
+        hess = -inv * inv
+        hess.flat[::N + 1] = 1.0 + nu / (z * z) - hess.sum(1)
+        step = np.linalg.solve(hess, z - nu / z - inv.sum(1))
+        if not np.isfinite(step).all():
+            break
+        t = 1.0
+        while True:
+            new = z - t * step
+            if (new[1:] > new[:-1]).all() and (n_neg == 0 or new[n_neg - 1] < 0) \
+                    and (n_pos == 0 or new[n_neg] > 0):
+                break
+            t *= 0.5
+        z = new
+        if t == 1.0 and abs(step).max() <= _STEP_TOL * abs(z).max():
+            return z
+    raise EquilibriumError(f"damped Newton did not converge in {_NEWTON_STEPS} steps on the "
+                           f"chamber N+ = {n_pos} of N = {N} roots (nu = {nu})")
+
+
+def _chamber_roots(branch: QuantizationBranch) -> np.ndarray:
+    """Roots r_k of the branch's polynomial factor in r, from its chamber's equilibrium.
+
+    kappa = -2 sum(zeta) ties the chamber to the branch: raises
+    EquilibriumError unless |-2 sum(zeta) - kappa| <= 1e-12 |kappa|.
+    """
+    if branch.chamber is None:
+        raise ValueError("the branch has no chamber; take it from solve_frequencies")
+    zeta = _stieltjes_roots(branch.n - 1, float(branch.m_abs) + 0.5, branch.chamber)
+    defect = abs(-2.0 * math.fsum(zeta) - branch.kappa)
+    bound = _KAPPA_TOL * abs(branch.kappa)
+    if not defect <= bound:
+        raise EquilibriumError(
+            f"the chamber N+ = {branch.chamber} of (n, m) = ({branch.n}, {branch.m}) gives "
+            f"|-2 sum(zeta) - kappa| = {defect:.3e}, above its bound {bound:.3e}")
+    roots = zeta / math.sqrt(branch.omega_tilde)
+    roots.flags.writeable = False
+    return roots
+
+
+def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
+    """Normalized u for a branch with integer |m|, by one of two routes.
+
+    Exact route, when omega_tilde is rational and Z an integer (the n = 2, 3
+    closed forms and every rational root): the recurrence runs in r on exact
+    rationals (kappa = Z, omega = omega_tilde), the norm is the exact
+    Gamma-moment sum, and `_certify` rejects a state whose float evaluation
+    is too noisy to be normalized.
+
+    Root route, otherwise: the state carries the roots of p, the Stieltjes
+    equilibrium of the branch's chamber (`_chamber_roots`), and is evaluated
+    as prod(1 - r / r_k). Its norm is the shared Gauss rule on that product,
+    8 against 16 panels, certified at 1e-13 relative. A chamber that Newton
+    does not solve, or whose roots miss kappa, raises EquilibriumError.
+    """
+    if not float(branch.m_abs).is_integer():
+        raise ValueError(f"a trap state needs an integer |m|, got {branch.m!r}")
+    common = dict(m_abs=float(branch.m_abs), omega=branch.omega_tilde, Z=float(branch.Z),
+                  eps_rel=branch.eps_rel, branch=branch)
+    if branch.omega_exact is not None and float(branch.Z).is_integer():
+        w = branch.omega_exact
+        m_abs = abs(Fraction(branch.m)) if _is_rational(branch.m) else float(branch.m_abs)
+        poly = Poly(recurrence_coefficients(Fraction(int(branch.Z)), 2 * (branch.n - 1), m_abs,
+                                            branch.n, w))
+        wf = RadialWavefunction(poly=poly, norm=_norm_constant(m_abs, w, poly), **common)
+        _certify(wf)
+        return wf
+    roots = _chamber_roots(branch)
+    bare = RadialWavefunction(poly=_RootProduct(roots), norm=1.0, **common)
+    total, _ = gauss_legendre(bare.u_squared, 0.0, _u2_range(bare), panels=8,
+                              tol_abs=sys.float_info.min, tol_rel=1e-13)
+    return replace(bare, norm=1.0 / math.sqrt(total))
 
 
 def _is_rational(x) -> bool:

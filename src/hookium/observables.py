@@ -413,6 +413,10 @@ def entropy_surface(wf: RadialWavefunction, extent: float | None = None,
 
 
 def _polynomial_node_hints(wf: RadialWavefunction) -> list[float]:
+    """Positive nodes of p: the state's own roots when it carries them, else real_roots."""
+    roots = wf.roots
+    if roots is not None:
+        return roots[roots > 0].tolist()
     if wf.poly.degree < 1:
         return []
     rational, irrational = real_roots(wf.poly)
@@ -446,31 +450,39 @@ def _entropy_edges(wf: RadialWavefunction) -> np.ndarray:
     return np.array(edges)
 
 
+_SUM_CHUNK = 1 << 13   # terms per block of _exact_sum; its temporaries stay near 64 KiB each
+
+
 def _exact_sum(v: np.ndarray) -> float:
     """Correctly rounded sum of a float array: for finite terms, bit for bit math.fsum.
 
     Each finite term is M 2^e with M an integer below 2^53 (np.frexp), split into
-    a 27-bit and a 26-bit half. np.bincount sums each half per exponent e;
-    with fewer than 2^26 terms every partial sum is an integer below 2^53,
-    so those sums are exact. The bins are combined as one Python int, and a
-    single int / int division rounds it. Non-finite terms give np.sum's
-    inf or nan.
+    a 27-bit and a 26-bit half. The terms go in blocks of _SUM_CHUNK (< 2^26),
+    so the temporaries do not grow with v. In a block, np.bincount sums each
+    half per exponent e, and every partial sum is an integer below 2^53, so
+    those sums are exact. The bins of all blocks are combined as one Python
+    int, and a single int / int division rounds it. Non-finite terms give
+    np.sum's inf or nan.
     """
-    if v.size >= 1 << 26:
-        raise ValueError("the exact sum takes fewer than 2**26 terms")
-    frac, exp = np.frexp(v)
-    if not np.isfinite(frac).all():
-        return float(np.sum(v))
-    mant = frac * 2.0**53
-    hi = np.trunc(mant * 2.0**-26)
-    lo = mant - hi * 2.0**26
-    e0 = int(exp.min(initial=0))
-    bins = exp - e0
-    sum_hi, sum_lo = np.bincount(bins, weights=hi), np.bincount(bins, weights=lo)
-    total = 0
-    for k in np.flatnonzero(sum_hi.astype(bool) | sum_lo.astype(bool)).tolist():
-        total += ((int(sum_hi[k]) << 26) + int(sum_lo[k])) << k
-    shift = e0 - 53
+    total, base = 0, 0   # the sum so far is total * 2**(base - 53)
+    for i in range(0, v.size, _SUM_CHUNK):
+        frac, exp = np.frexp(v[i:i + _SUM_CHUNK])
+        if not np.isfinite(frac).all():
+            return float(np.sum(v))
+        mant = frac * 2.0**53
+        hi = np.trunc(mant * 2.0**-26)
+        lo = mant - hi * 2.0**26
+        e0 = int(exp.min(initial=0))
+        bins = exp - e0
+        sum_hi, sum_lo = np.bincount(bins, weights=hi), np.bincount(bins, weights=lo)
+        part = 0
+        for k in np.flatnonzero(sum_hi.astype(bool) | sum_lo.astype(bool)).tolist():
+            part += ((int(sum_hi[k]) << 26) + int(sum_lo[k])) << k
+        if e0 >= base:
+            total += part << (e0 - base)
+        else:
+            total, base = (total << (base - e0)) + part, e0
+    shift = base - 53
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
@@ -478,7 +490,7 @@ def _entropy_on(wf: RadialWavefunction, edges: np.ndarray, total) -> float:
     """S from the rule's four moments on the panels; `total` sums one moment's terms."""
     half = 0.5 * np.diff(edges)[:, None]
     r = edges[:-1, None] + half * (1.0 + _GL_X)
-    p2 = wf.poly(r) ** 2
+    p2 = wf.factor(r) ** 2
     q = half * _GL_W * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1) * p2
     spread = wf.omega * total((q * (r * r)).ravel())
     if wf.m_abs:

@@ -176,6 +176,13 @@ def test_density_quad_tolerance_exit(capsys):
     assert "quadrature" in err.lower()
 
 
+def test_density_low_frequency_branch_at_default_tolerance(capsys):
+    # omega = 0.0068; the float-coefficient state once gave P and 2P sums 2.6e-11 apart (exit 4)
+    code, out, err = run(capsys, "density", "--n", "8", "--m", "10", "--Z", "-2", "--branch", "3")
+    assert code == 0, err
+    assert "case = custom" in out
+
+
 def test_density_out_files(tmp_path, capsys):
     code, _, _ = run(capsys, "density", "--case", "n2m0Zp1", "--method", "both",
                      "--grid", "0:6:13", "--no-fit",

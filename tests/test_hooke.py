@@ -7,7 +7,7 @@ import pytest
 
 from hookium import hooke
 from hookium.integrate import QuadratureNonConvergence, adaptive_quad
-from hookium.polyops import Poly
+from hookium.polyops import Poly, sturm_count
 from hookium.series import series_solve
 
 
@@ -93,6 +93,30 @@ def test_recurrence_symbolic_kappa():
     assert a[4].degree == 4
 
 
+def _fraction_recurrence(e_tilde, m_abs, count, omega=1):
+    """The symbolic recurrence run directly in Fraction Poly arithmetic."""
+    kappa = Poly.symbol()
+    out = [Poly.constant(Fraction(1))]
+    for j in range(1, count):
+        term = kappa * out[j - 1]
+        if j >= 2:
+            term = term + omega * (2 * (j - 2) - e_tilde) * out[j - 2]
+        out.append(term / (j * (j + 2 * m_abs)))
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, Fraction(1, 2), Fraction(3, 2), Fraction(-7, 3)])
+def test_symbolic_recurrence_matches_fraction_reference(m):
+    m_abs = abs(Fraction(m))
+    for n in range(1, 40):
+        want = _fraction_recurrence(2 * (n - 1), m_abs, n + 1)
+        assert hooke.quantization_polynomial(n, m) == want[n], (n, m)
+    assert hooke.recurrence_coefficients(None, 2 * 11, m_abs, 13) == _fraction_recurrence(22, m_abs, 13)
+    # a rational omega and e_tilde, as the sextic sector series use them
+    args = (Fraction(-7, 3), m_abs, 15, Fraction(5, 4))
+    assert hooke.recurrence_coefficients(None, *args) == _fraction_recurrence(*args)
+
+
 def test_termination_exact():
     branch = hooke.solve_frequencies(4, 1, -1)[0]
     assert branch.kappa_sq_exact is None or branch.kappa_sq_exact > 0
@@ -114,7 +138,7 @@ def test_node_count_tables():
 
 
 def _r_poly(b):
-    """(omega, r-polynomial) of a branch exactly as build_wavefunction runs the recurrence."""
+    """(omega, r-polynomial) of a branch by the recurrence in r: exact for rational omega, else in floats."""
     exact = b.omega_exact is not None
     w = b.omega_exact if exact else b.omega_tilde
     Zc = Fraction(int(b.Z)) if exact else b.Z
@@ -122,47 +146,64 @@ def _r_poly(b):
     return w, Poly(hooke.recurrence_coefficients(Zc, 2 * (b.n - 1), m_abs, b.n, w))
 
 
-def _ladder(n, m, Z):
-    """(nodes, oscillation-ladder count) per branch of (n, m, Z), descending omega.
+def _refined_kappa(b, s_poly):
+    """kappa to about 1e-19 relative or better, as a Fraction with a denominator below 2**32.
 
-    The nodes are those of the r-polynomial exactly as build_wavefunction
-    builds it; the state itself is not built (the float-evaluated states of
-    some attractive branches fail its normalization guard).
+    Two exact Newton steps on the s-polynomial, each rounded to 2**-128, take
+    s = kappa^2 from 53 to over 100 correct bits; the best rational
+    approximation of its square root then keeps the integers of a Sturm chain
+    at that kappa short. A float kappa is not enough: at (24, 10, -1) branch
+    11 a kappa 2.3e-16 off gives a rho-polynomial with 15 positive roots, not 23.
+    """
+    ds_poly = s_poly.derivative()
+    s = Fraction(b.kappa) ** 2
+    for _ in range(2):
+        s -= s_poly(s) / ds_poly(s)
+        s = Fraction(round(s * 2**128), 2**128)
+    root = Fraction(math.isqrt(round(s * 4**128)), 2**128).limit_denominator(2**32)
+    return root if b.Z > 0 else -root
+
+
+def _check_ladder(n, m, Z, only=None):
+    """Node count of every built branch of (n, m, Z) against the ladder and an exact oracle.
+
+    Repulsive branch k of B (descending omega) has B-1-k nodes, attractive
+    branch k has n-B+k. The oracle does not use the chamber: it is the Sturm
+    count of the rho-polynomial the Fraction recurrence gives at the refined
+    kappa. The roots must also give kappa = -2 sum(zeta), zeta = sqrt(omega) r.
     """
     branches = hooke.solve_frequencies(n, m, Z)
     B = len(branches)
-    out = []
+    even, odd = hooke.quantization_polynomial(n, m).even_odd_parts()
     for k, b in enumerate(branches):
-        _, poly = _r_poly(b)
-        wf = hooke.RadialWavefunction(m_abs=float(m), omega=b.omega_tilde, Z=b.Z,
-                                      eps_rel=b.eps_rel, poly=poly, norm=1.0, branch=b)
-        out.append((wf.nodes, B - 1 - k if Z > 0 else n - B + k))
-    return out
-
-
-# The float r-polynomial of this branch has 15 positive roots where the ladder
-# wants 23 (CHANGES.md FOUND line on the node ladder); the count itself is exact.
-LADDER_BREAK = (24, 10, -1, 11)
+        if only is not None and k != only:
+            continue
+        wf = hooke.build_wavefunction(b)
+        kappa = _refined_kappa(b, odd if n % 2 else even)
+        rho_poly = Poly(hooke.recurrence_coefficients(kappa, 2 * (n - 1), m, n))
+        want = B - 1 - k if Z > 0 else n - B + k
+        assert wf.nodes == sturm_count(rho_poly, 0, math.inf) == want, (n, m, Z, k)
+        if wf.roots is None:   # exact route: sum(r_k) from the exact coefficients
+            root_sum = -wf.poly.coeffs[-2] / wf.poly.coeffs[-1]
+        else:
+            root_sum = math.fsum(wf.roots)
+        defect = abs(-2 * math.sqrt(b.omega_tilde) * float(root_sum) - float(kappa))
+        assert defect <= 1e-12 * abs(b.kappa), (n, m, Z, k, defect)
 
 
 @pytest.mark.parametrize("case", [
     pytest.param(None, id="n2-24_m0,5,10_Z+-1"),
-    pytest.param(LADDER_BREAK, id="n24_m10_Z-1_branch11", marks=pytest.mark.xfail(
-        strict=True, reason="float r-polynomial loses roots (CHANGES.md FOUND)")),
+    # the float r-recurrence this state was once built from lost 8 of its 23 nodes
+    pytest.param((24, 10, -1, 11), id="n24_m10_Z-1_branch11"),
 ])
 def test_node_ladder(case):
-    # repulsive branch k of B has B-1-k nodes, attractive branch k has n-B+k
     if case is not None:
-        n, m, Z, k = case
-        nodes, want = _ladder(n, m, Z)[k]
-        assert nodes == want
+        _check_ladder(*case[:3], only=case[3])
         return
     for n in range(2, 25):
         for m in (0, 5, 10):
             for Z in (1, -1):
-                for k, (nodes, want) in enumerate(_ladder(n, m, Z)):
-                    if (n, m, Z, k) != LADDER_BREAK:
-                        assert nodes == want, (n, m, Z, k)
+                _check_ladder(n, m, Z)
 
 
 def test_reference_branch_energies():
@@ -236,18 +277,6 @@ def test_norm_matches_adaptive_quadrature(m, Z):
     assert compared
 
 
-@pytest.mark.parametrize("n, m, Z, k", [
-    (24, 10, -1, 11),   # float Horner is far off: int u^2 misses 1 by -1.7e-2
-    (28, 10, -1, 12),   # and by +17
-    # int u^2 is within 1e-10 of 1 on the rule's 4 and 8 panels, but the float
-    # evaluation error integrates to 2.6e-9 (the virial identity misses by 2.5e-10)
-    (11, 10, -1, 4),
-])
-def test_build_rejects_noisy_float_state(n, m, Z, k):
-    with pytest.raises(QuadratureNonConvergence):
-        hooke.build_wavefunction(hooke.solve_frequencies(n, m, Z)[k])
-
-
 def test_norm_needs_integer_m():
     with pytest.raises(ValueError):
         hooke._norm_constant(0.5, 1.0, Poly((1.0,)))
@@ -259,13 +288,14 @@ _VIRIAL_X, _VIRIAL_W = np.polynomial.legendre.leggauss(64)
 
 
 def _moments(wf):
-    """(<r^2>, <1/r>) by a composite 64-point Gauss-Legendre rule on 32 equal panels."""
+    """(int u^2, <r^2>, <1/r>) by a composite 64-point Gauss-Legendre rule on 32 equal panels."""
     deg = max(wf.poly.degree, 0)
     r_max = math.sqrt((200.0 + 4.0 * (2.0 * wf.m_abs + 1.0 + 2.0 * deg)) / wf.omega)
     half = 0.5 * r_max / 32
     r = half * (2 * np.arange(32)[:, None] + 1 + _VIRIAL_X)
     w = half * _VIRIAL_W
-    return float(np.sum(w * wf.u_squared(r) * r * r)), float(np.sum(w * wf.density_radial(r)))
+    u2 = wf.u_squared(r)
+    return float(np.sum(w * u2)), float(np.sum(w * u2 * r * r)), float(np.sum(w * wf.density_radial(r)))
 
 
 @pytest.mark.parametrize("Z", [1, -1, 2, -2])
@@ -280,10 +310,56 @@ def test_virial_identity(m, Z):
             except QuadratureNonConvergence:
                 continue
             built += 1
-            r2, inv_r = _moments(wf)
+            _, r2, inv_r = _moments(wf)
             virial = wf.omega**2 * r2 + 0.25 * wf.Z * inv_r
             assert virial == pytest.approx(wf.eps_rel, rel=1e-10, abs=0.0), (n, m, Z, b.omega_tilde)
     assert built
+
+
+@pytest.mark.parametrize("n, m, Z, k", [
+    # from float r-recurrence coefficients, u^2 of the first two integrated to
+    # 1 - 1.7e-2 and to 18, and the third carried 2.6e-9 of evaluation error
+    (24, 10, -1, 11),
+    (28, 10, -1, 12),
+    (11, 10, -1, 4),
+])
+def test_formerly_noisy_states_build(n, m, Z, k):
+    branches = hooke.solve_frequencies(n, m, Z)
+    wf = hooke.build_wavefunction(branches[k])
+    assert wf.roots is not None and wf.nodes == n - len(branches) + k
+    total, r2, inv_r = _moments(wf)
+    assert abs(total - 1.0) < 1e-12
+    assert hooke.verify_branch(wf) < 1e-12
+    assert wf.omega**2 * r2 + 0.25 * wf.Z * inv_r == pytest.approx(wf.eps_rel, rel=1e-12, abs=0.0)
+
+
+def test_root_state_round_trips():
+    import copy
+    import pickle
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(6, 1, -1)[1])
+    r = np.linspace(0.0, 20.0, 9)
+    for twin in (pickle.loads(pickle.dumps(wf)), copy.deepcopy(wf)):
+        assert twin == wf and twin.nodes == wf.nodes
+        assert np.array_equal(twin.u(r), wf.u(r))
+
+
+DOMAIN_N = list(range(2, 15)) + list(range(16, 33, 2)) + [40, 50]
+
+
+@pytest.mark.parametrize("m", [0, 5, 10])
+def test_domain_invariants(m):
+    # every branch of n in DOMAIN_N, Z = +-1 builds; residual < 1e-9, |int u^2 - 1| < 1e-12
+    # by the 64-point rule (the build normalizes with the 48-point one), virial to 1e-10
+    for n in DOMAIN_N:
+        for Z in (1, -1):
+            for b in hooke.solve_frequencies(n, m, Z):
+                wf = hooke.build_wavefunction(b)
+                key = (n, m, Z, b.omega_tilde)
+                assert hooke.verify_branch(wf) < 1e-9, key
+                total, r2, inv_r = _moments(wf)
+                assert abs(total - 1.0) < 1e-12, key
+                virial = wf.omega**2 * r2 + 0.25 * wf.Z * inv_r
+                assert virial == pytest.approx(wf.eps_rel, rel=1e-10, abs=0.0), key
 
 
 def test_wavefunction_exact_coefficients():

@@ -239,8 +239,8 @@ def test_total_entropy_matches_adaptive_oracle(n, m, Z):
 
 
 def test_total_entropy_tolerances():
-    # its P and 2P panel sums differ by 2.3e-13 relative, so a zero budget must fail
-    wf = hooke.build_wavefunction(hooke.solve_frequencies(10, 3, -1)[4])
+    # its P and 2P panel sums differ by 1.1e-15 relative, so a zero budget must fail
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(12, 0, -1)[2])
     with pytest.raises(QuadratureNonConvergence):
         observables.total_entropy(wf, tol_abs=1e-30, tol_rel=0.0)
     for bad in (0.0, math.nan):
@@ -266,6 +266,9 @@ def _sum_cases():
         "negative_zeros": np.array([-0.0, -0.0]),
         "empty": np.array([]),
         "gaussian": rng.standard_normal(20000) * np.exp(rng.uniform(-30, 0, 20000)),
+        # blocks of _exact_sum that start high, drop far below, then cancel the first
+        "blocks": np.concatenate([x[:1] * np.ones(9000) * 1e250, rng.standard_normal(9000) * 1e-250,
+                                  x[:1] * np.ones(9000) * -1e250, rng.standard_normal(9000)]),
     }
 
 
@@ -278,6 +281,9 @@ def test_exact_sum_matches_fsum(case):
 def test_exact_sum_non_finite_terms():
     assert observables._exact_sum(np.array([1.0, math.inf])) == math.inf
     assert math.isnan(observables._exact_sum(np.array([1.0, math.nan])))
+    late = np.ones(3 * observables._SUM_CHUNK)
+    late[-1] = -math.inf
+    assert observables._exact_sum(late) == -math.inf
 
 
 def test_exact_sum_many_seeded_arrays():
