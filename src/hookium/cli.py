@@ -105,6 +105,8 @@ def build_grid(spec, spacing, omega):
         raise ConfigError(f"bad grid {spec!r} (want 'min:max:points')") from None
     if n < 2 or not hi > lo:
         raise ConfigError(f"bad grid {spec!r}: need max > min and points >= 2")
+    if lo < 0:
+        raise ConfigError(f"bad grid {spec!r}: radii must be >= 0")
     if spacing == "log":
         if lo <= 0:
             raise ConfigError("log spacing needs min > 0")
@@ -188,6 +190,8 @@ def _density_sidecar(profile, case_id, wf, extra):
 def cmd_density(args) -> int:
     tol_abs = args.quad_tol
     tol_rel = tol_abs * 1e3
+    if not (0 < tol_abs and tol_rel < math.inf):
+        raise ConfigError(f"--quad-tol must be positive with 1000x it finite, got {tol_abs!r}")
     if args.case:
         try:
             case = observables.CATALOG[args.case]
@@ -228,7 +232,8 @@ def cmd_density(args) -> int:
         if case is None:
             raise ConfigError("--method both needs --case")
         cmp = observables.compare_density_routes(case, grid, fit_width=not args.no_fit,
-                                                 angular=args.angular)
+                                                 angular=args.angular,
+                                                 tol_abs=tol_abs, tol_rel=tol_rel)
         closed = cmp.closed
         quad = dataclasses.replace(closed, values=cmp.quadrature_values,
                                    method=f"quadrature-{args.angular}",
@@ -500,9 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--grid", default=None, help="'min:max:points'")
     p_density.add_argument("--spacing", choices=("linear", "log"), default="linear")
     p_density.add_argument("--quad-tol", type=float, default=1e-15,
-                           help="absolute tolerance per density point (relative: 1000x "
-                                "this); the Gauss rule at two panel counts must agree "
-                                "within it, else exit 4")
+                           help="absolute tolerance per convolved density point "
+                                "(relative: 1000x this); the Gauss rule starts at one "
+                                "panel against two and doubles up to 64 panels until "
+                                "the two agree within it, else exit 4; checked with "
+                                "every --method")
     p_density.set_defaults(func=cmd_density)
     _LEAF_PARSERS["density"] = p_density
 

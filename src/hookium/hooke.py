@@ -503,7 +503,7 @@ _NORM_TOL = 1e-10   # allowed |int u^2 - 1| and integrated evaluation error of t
 def _certify(wf: RadialWavefunction) -> None:
     """Raise QuadratureNonConvergence unless the state as evaluated in floats is normalized.
 
-    The shared Gauss rule (4 against 8 panels) integrates u^2 and
+    The shared Gauss rule (from 4 against 8 panels) integrates u^2 and
     N^2 exp(-omega r^2) r^(2|m|+1) |p^2 - p~^2|, with p~ the compensated Horner
     value of the exact polynomial. Both must be within 1e-10: the first of 1,
     the second of 0. The second integral measures the float evaluation error
@@ -603,8 +603,8 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
     Root route, otherwise: the state carries the roots of p, the Stieltjes
     equilibrium of the branch's chamber (`_chamber_roots`), and is evaluated
     as prod(1 - r / r_k). Its norm is the shared Gauss rule on that product,
-    8 against 16 panels, certified at 1e-13 relative. A chamber that Newton
-    does not solve, or whose roots miss kappa, raises EquilibriumError.
+    from 8 against 16 panels, certified at 1e-13 relative. A chamber that
+    Newton does not solve, or whose roots miss kappa, raises EquilibriumError.
     """
     if not float(branch.m_abs).is_integer():
         raise ValueError(f"a trap state needs an integer |m|, got {branch.m!r}")

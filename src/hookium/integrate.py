@@ -50,12 +50,22 @@ class QuadratureNonConvergence(RuntimeError):
     """The integrator could not certify the requested tolerance."""
 
 
-def _check_budget(value, err, tol_abs, tol_rel) -> None:
-    """Raise unless err <= max(tol_abs, tol_rel * |value|) in every row; a NaN fails."""
+def _check_tolerances(tol_abs, tol_rel) -> None:
+    """ValueError unless tol_abs is finite > 0 and tol_rel finite >= 0."""
     if not (0 < tol_abs < math.inf and 0 <= tol_rel < math.inf):
         raise ValueError(f"quadrature tolerances need finite tol_abs > 0 and tol_rel >= 0, "
                          f"got tol_abs={tol_abs!r}, tol_rel={tol_rel!r}")
-    over = np.ravel(~(err <= np.maximum(tol_abs, tol_rel * np.abs(value))))
+
+
+def _within_budget(value, err, tol_abs, tol_rel):
+    """Per row, err <= max(tol_abs, tol_rel * |value|); a NaN fails."""
+    return err <= np.maximum(tol_abs, tol_rel * np.abs(value))
+
+
+def _check_budget(value, err, tol_abs, tol_rel) -> None:
+    """Raise unless err <= max(tol_abs, tol_rel * |value|) in every row; a NaN fails."""
+    _check_tolerances(tol_abs, tol_rel)
+    over = np.ravel(~_within_budget(value, err, tol_abs, tol_rel))
     if over.any():
         i = over.argmax()
         raise QuadratureNonConvergence(
@@ -83,23 +93,47 @@ def adaptive_quad(f, a, b, *, tol_abs=1e-12, tol_rel=1e-10, limit=300, points=No
     return value, err
 
 
+_MAX_PANELS = 64   # gauss_legendre doubles its panel count up to this many
+
+
+def _panel_sum(f, a, b, panels, chunk):
+    """The composite rule on `panels` equal panels, f called on `chunk` panels' nodes at a time."""
+    h = 0.5 * (b - a) / panels
+    total = 0.0
+    for first in range(0, panels, chunk):
+        x = (a + h * (2 * np.arange(first, first + chunk)[:, None] + 1 + _GL_X)).ravel()
+        total = total + f(x) @ np.tile(_GL_W, chunk)
+    return h * total
+
+
 def gauss_legendre(f, a, b, *, panels, tol_abs=1e-12, tol_rel=1e-10):
     """Composite 48-point Gauss-Legendre integral of f on [a, b]; returns (value, err).
 
     f maps a 1-D array of nodes to values with the nodes on the last axis;
     each leading index is one row. The rule runs on `panels` and on 2 * panels
-    equal panels and returns the finer sum, with err = |fine - coarse| per
-    row, under the same budget as adaptive_quad. f is called once, on the
-    nodes of both passes, so its per-call cost is paid once.
+    equal panels, in one call of f, and certifies err = |fine - coarse| per
+    row under the same budget as adaptive_quad. While any row fails, the
+    panel count doubles: the last fine sum becomes the coarse one, and f runs
+    only on the new level's nodes, 2 * panels panels at a time, so no call
+    gets more nodes than the first. The finest sum is returned. The doubling
+    stops at _MAX_PANELS panels, where QuadratureNonConvergence is raised
+    with the last estimate. The tolerances are checked before f is called.
     """
+    _check_tolerances(tol_abs, tol_rel)
     counts = (panels, 2 * panels)
     halves = [0.5 * (b - a) / p for p in counts]
     nodes = [(a + h * (2 * np.arange(p)[:, None] + 1 + _GL_X)).ravel() for h, p in zip(halves, counts)]
     values = f(np.concatenate(nodes))
     passes = (values[..., :nodes[0].size], values[..., nodes[0].size:])
     # contiguous copies keep the summation order that separate calls of f had
-    sums = [h * (np.ascontiguousarray(v) @ np.tile(_GL_W, p)) for h, v, p in zip(halves, passes, counts)]
+    coarse, fine = [h * (np.ascontiguousarray(v) @ np.tile(_GL_W, p))
+                    for h, v, p in zip(halves, passes, counts)]
     del nodes, values, passes   # a raised QuadratureNonConvergence keeps this frame alive
-    err = np.abs(sums[1] - sums[0])
-    _check_budget(sums[1], err, tol_abs, tol_rel)
-    return sums[1], err
+    err = np.abs(fine - coarse)
+    level = counts[1]
+    while level < _MAX_PANELS and not np.all(_within_budget(fine, err, tol_abs, tol_rel)):
+        level *= 2
+        coarse, fine = fine, _panel_sum(f, a, b, level, counts[1])
+        err = np.abs(fine - coarse)
+    _check_budget(fine, err, tol_abs, tol_rel)
+    return fine, err

@@ -64,15 +64,18 @@ def bessel_i(order: int, x, scaled: bool = False):
     raise ValueError("order must be 0 or 1")
 
 
-_PANELS = 4        # radial panels of the Gauss rule, certified against 8
 _BLOCK = 1 << 15   # float64 entries of one (rows x nodes) block; its temporaries stay near 1 MiB
 
 
-def _rule_rows(f, rows, b: float, panels: int, tol_abs: float, tol_rel: float):
-    """Gauss rule of f(rows[:, None], nodes) over [0, b] per row, in blocks of about _BLOCK."""
-    step = max(1, _BLOCK // (3 * 48 * panels))   # nodes of the rule's two passes
+def _rule_rows(f, rows, b: float, tol_abs: float, tol_rel: float):
+    """Gauss rule of f(rows[:, None], nodes) over [0, b] per row, in blocks of about _BLOCK.
+
+    Each block starts from one panel against two (3 x 48 nodes in f's first
+    call, no more in its later ones) and doubles until every row is certified.
+    """
+    step = _BLOCK // (3 * 48)
     return np.concatenate([
-        gauss_legendre(lambda x: f(rows[i:i + step, None], x), 0.0, b, panels=panels,
+        gauss_legendre(lambda x: f(rows[i:i + step, None], x), 0.0, b, panels=1,
                        tol_abs=tol_abs, tol_rel=tol_rel)[0]
         for i in range(0, rows.size, step)])
 
@@ -95,7 +98,7 @@ class PairCorrelation:
 
     def total_probability(self) -> float:
         """Integral of G over the plane (= integral of u^2 dr); 1 for a normalized state."""
-        val, _ = gauss_legendre(self.wf.u_squared, 0.0, _u2_range(self.wf), panels=_PANELS,
+        val, _ = gauss_legendre(self.wf.u_squared, 0.0, _u2_range(self.wf), panels=1,
                                 tol_abs=1e-12, tol_rel=1e-11)
         return float(val)
 
@@ -132,7 +135,7 @@ def _angular_mean(z, tol_abs: float, tol_rel: float):
     def f(zs, s):
         t_max = np.arccos(np.maximum(1.0 - 50.0 / np.maximum(zs, 25.0), -1.0))
         return t_max * np.exp(-zs * (1.0 - np.cos(t_max * s)))
-    return _rule_rows(f, z.ravel(), 1.0, 1, tol_abs, tol_rel).reshape(z.shape) / math.pi
+    return _rule_rows(f, z.ravel(), 1.0, tol_abs, tol_rel).reshape(z.shape) / math.pi
 
 
 def _convolve(wf: RadialWavefunction, beta: float, r, angular: str,
@@ -149,7 +152,7 @@ def _convolve(wf: RadialWavefunction, beta: float, r, angular: str,
         z = beta * rows * rp
         mean = special.i0e(z) if angular == "bessel" else _angular_mean(z, tol_abs, tol_rel)
         return wf.u_squared(rp) * np.exp(-beta * (rows - 0.5 * rp) ** 2) * mean
-    return (2.0 * beta / math.pi) * _rule_rows(f, r, _u2_range(wf), _PANELS, tol_abs, tol_rel)
+    return (2.0 * beta / math.pi) * _rule_rows(f, r, _u2_range(wf), tol_abs, tol_rel)
 
 
 def density_quadrature(wf: RadialWavefunction, cm: CenterOfMassState, grid=None, *,
@@ -160,12 +163,16 @@ def density_quadrature(wf: RadialWavefunction, cm: CenterOfMassState, grid=None,
     Reduces to n(r) = (2 beta/pi) int u(r')^2 exp(-beta (r - r'/2)^2) i0e(beta r r') dr'
     after the angular integral; `angular="numeric"` does that inner integral by
     quadrature instead of the Bessel identity. Every integral is a composite
-    Gauss-Legendre rule certified by its agreement at two panel counts; raises
-    QuadratureNonConvergence when the requested tolerance cannot be met.
+    Gauss-Legendre rule, from one panel against two, doubled until two
+    successive panel counts agree; raises QuadratureNonConvergence when the
+    requested tolerance cannot be met by 64 panels, and ValueError for a
+    negative radius (the convolution holds for r >= 0 only).
     """
     if grid is None:
         grid = default_grid(wf.omega)
     grid = np.asarray(grid, dtype=float)
+    if not np.all(grid >= 0.0):
+        raise ValueError("density radii must be >= 0")
     values = _convolve(wf, cm.beta, grid, angular, tol_abs, tol_rel)
     scale = 1.0
     if normalize:
@@ -173,7 +180,7 @@ def density_quadrature(wf: RadialWavefunction, cm: CenterOfMassState, grid=None,
         r_max = 0.5 * _u2_range(wf) + math.sqrt(80.0 / cm.beta)
         total, _ = gauss_legendre(
             lambda r: 2.0 * math.pi * r * _convolve(wf, cm.beta, r, angular, tol_abs, tol_rel),
-            0.0, r_max, panels=_PANELS, tol_abs=1e-9, tol_rel=1e-8)
+            0.0, r_max, panels=1, tol_abs=1e-9, tol_rel=1e-8)
         scale = 2.0 / float(total)
     return DensityProfile(grid=grid, values=values * scale, normalization_target=2.0,
                           method=f"quadrature-{angular}", beta=cm.beta, scale_applied=scale)
@@ -263,7 +270,7 @@ def closed_form_density(case, grid=None) -> DensityProfile:
         grid = default_grid(case.omega)
     grid = np.asarray(grid, dtype=float)
     total, _ = gauss_legendre(lambda r: 2.0 * math.pi * r * case.raw(r), 0.0,
-                              math.sqrt(140.0 / case.gauss), panels=_PANELS,
+                              math.sqrt(140.0 / case.gauss), panels=1,
                               tol_abs=1e-12, tol_rel=1e-11)
     scale = 2.0 / float(total)
     return DensityProfile(grid=grid, values=case.raw(grid) * scale,
@@ -323,12 +330,14 @@ class DensityComparison:
 
 
 def compare_density_routes(case, grid=None, *, fit_width: bool = True,
-                           angular: str = "bessel") -> DensityComparison:
+                           angular: str = "bessel", tol_abs: float = 1e-15,
+                           tol_rel: float = 1e-12) -> DensityComparison:
     """Evaluate both density routes for a cataloged case and measure agreement.
 
     Deviation is the max relative difference where the density is at least
     1e-8 of its peak. With fit_width the CM width is fitted to the closed
     form; otherwise beta = omega_tilde (the width the catalog profiles carry).
+    tol_abs and tol_rel are the convolution's budget, as in density_quadrature.
     """
     if isinstance(case, str):
         case = CATALOG[case]
@@ -345,7 +354,7 @@ def compare_density_routes(case, grid=None, *, fit_width: bool = True,
         beta = fit.beta
     else:
         beta = wf.omega
-    quad_vals = _convolve(wf, beta, grid, angular, 1e-15, 1e-12)
+    quad_vals = _convolve(wf, beta, grid, angular, tol_abs, tol_rel)
     peak = quad_vals.max()
     mask = quad_vals >= 1e-8 * peak
     dev = float(np.max(np.abs(quad_vals[mask] - closed.values[mask]) / quad_vals[mask]))

@@ -176,9 +176,31 @@ def test_density_quad_tolerance_exit(capsys):
     assert "quadrature" in err.lower()
 
 
+def test_density_both_routes_honour_quad_tolerance(capsys):
+    code, _, err = run(capsys, "density", "--case", "n2m0Zp1",
+                       "--method", "both", "--no-fit", "--grid", "0:4:3",
+                       "--quad-tol", "1e-30")
+    assert code == 4
+    assert "quadrature" in err.lower()
+
+
+@pytest.mark.parametrize("spec", ["-1:4:3", "-0.5:0:2"])
+def test_build_grid_rejects_negative_radii(spec):
+    with pytest.raises(cli.ConfigError, match="radii must be >= 0"):
+        cli.build_grid(spec, "linear", 1.0)
+
+
 def test_density_low_frequency_branch_at_default_tolerance(capsys):
     # omega = 0.0068; the float-coefficient state once gave P and 2P sums 2.6e-11 apart (exit 4)
     code, out, err = run(capsys, "density", "--n", "8", "--m", "10", "--Z", "-2", "--branch", "3")
+    assert code == 0, err
+    assert "case = custom" in out
+
+
+def test_density_domain_edge_branch_at_default_tolerance(capsys):
+    # omega = 2.8e-5; a fixed 4 against 8 panels fell short of the default budget (exit 4)
+    code, out, err = run(capsys, "density", "--n", "32", "--m", "0", "--Z", "-1",
+                         "--branch", "15", "--grid", "0:20:9")
     assert code == 0, err
     assert "case = custom" in out
 
@@ -295,6 +317,10 @@ def test_numeric_flags_take_fractions(capsys):
     "density --n 2 --Z 1 --grid 0:4:3 --quad-tol -1",
     "density --n 2 --Z 1 --grid 0:4:3 --quad-tol 0",
     "density --n 2 --Z 1 --grid 0:4:3 --quad-tol nan",
+    "density --case n2m0Zp1 --method both --no-fit --grid 0:4:3 --quad-tol -1",
+    "density --case n2m0Zp1 --method closed --grid 0:4:3 --quad-tol nan",
+    "density --case n2m0Zp1 --method closed --grid 0:4:3 --quad-tol inf",
+    "density --n 2 --Z 1 --grid=-1:4:3",
 ])
 def test_out_of_range_values_are_config_errors(capsys, argv):
     code, _, err = run(capsys, *argv.split())

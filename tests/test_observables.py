@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.special
 
 from hookium import hooke, observables
-from hookium.integrate import QuadratureNonConvergence, adaptive_quad
+from hookium.integrate import _GL_W, _GL_X, QuadratureNonConvergence, adaptive_quad
 
 
 def bessel_series(order: int, x: Fraction, terms: int = 40) -> float:
@@ -135,6 +135,48 @@ def test_density_rule_matches_adaptive_oracle(branch, beta_factor, angular):
     assert mask.sum() >= 8
     rel = np.abs(prof.values[mask] - want[mask]) / want[mask]
     assert rel.max() <= 1e-11
+
+
+def _panel_rule(f, b, panels):
+    """The 48-point rule on `panels` equal panels of [0, b], in one call of f."""
+    h = 0.5 * b / panels
+    x = (h * (2 * np.arange(panels)[:, None] + 1 + _GL_X)).ravel()
+    return h * (f(x) @ np.tile(_GL_W, panels))
+
+
+DOMAIN_EDGE = [(n, m, Z, end) for n in (32, 40, 50) for m in (0, 10) for Z in (1, -1)
+               for end in (0, -1)]
+
+
+@pytest.mark.parametrize("state", DOMAIN_EDGE, ids=lambda s: "n%d,m%d,Z%d,end%d" % s)
+def test_density_rule_at_the_domain_edge(state):
+    # the end branches of n = 32-50 once failed the default budget at a fixed 4 against 8 panels
+    n, m, Z, end = state
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(n, m, Z)[end])
+    grid = np.linspace(0.0, wf.support_radius(30.0), 13)
+    # u^2 is at most C r^k exp(-omega r^2), k = 2|m| + 2n - 1: far below e^-120 of its peak here
+    support = math.sqrt((120.0 + 6.0 * (2 * m + 2 * n - 1)) / wf.omega)
+    for beta in (wf.omega, 4.0 * wf.omega):
+        prof = observables.density_quadrature(wf, hooke.CenterOfMassState(beta=beta), grid)
+        assert abs(prof.scale_applied - 1.0) <= 1e-12
+
+        def f(rp):
+            z = beta * grid[:, None] * rp
+            return wf.u_squared(rp) * np.exp(-beta * (grid[:, None] - 0.5 * rp) ** 2) \
+                * scipy.special.i0e(z)
+        coarse, fine = ((2.0 * beta / math.pi) * _panel_rule(f, support, p) for p in (16, 32))
+        mask = fine >= 1e-8 * fine.max()
+        assert mask.sum() >= 8
+        assert np.all(np.abs(fine - coarse)[mask] <= 1e-13 * fine[mask])
+        rel = np.abs(prof.values[mask] - fine[mask]) / fine[mask]
+        assert rel.max() <= 1e-11
+
+
+def test_density_quadrature_rejects_negative_radii():
+    wf = hooke.build_wavefunction(observables.CATALOG["n2m0Zp1"].branch())
+    with pytest.raises(ValueError, match="radii must be >= 0"):
+        observables.density_quadrature(wf, hooke.CenterOfMassState(beta=0.5),
+                                       np.array([-1.0, 1.5, 4.0]))
 
 
 def test_closed_form_normalization():
