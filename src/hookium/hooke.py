@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -86,6 +86,10 @@ class HookeParams:
                    omega0=math.sqrt(disc), omegaL=omegaL)
 
 
+_NO_ROOTS = np.empty(0)
+_NO_ROOTS.flags.writeable = False
+
+
 @dataclass(frozen=True, slots=True)
 class QuantizationBranch:
     """One admissible frequency for (n, m, Z), with exact values when they exist.
@@ -97,6 +101,12 @@ class QuantizationBranch:
     energy in the chamber of configurations with N+ positive roots, and
     solve_frequencies reads N+ off the branch's rank (repulsive branch k of B,
     in descending omega, has B - 1 - k; attractive branch k has n - B + k).
+
+    roots holds the read-only roots r_k = zeta_k / sqrt(omega_tilde) of that
+    polynomial, ascending, for a branch that build_wavefunction builds from
+    them (integer |m|, and irrational omega or non-integer Z); it is empty
+    otherwise. It takes no part in ==, hash or repr: the other fields
+    determine it.
     """
 
     n: int
@@ -107,6 +117,7 @@ class QuantizationBranch:
     kappa_sq_exact: Fraction | None = None
     omega_exact: Fraction | None = None
     chamber: int | None = None
+    roots: np.ndarray = field(default_factory=lambda: _NO_ROOTS, compare=False, repr=False)
 
     @property
     def m_abs(self):
@@ -143,6 +154,11 @@ def hooke_series_operator(m_abs, kappa, e_tilde):
     return F, P
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational; an int passes with no Fraction built."""
+    return (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
+
+
 def _recurrence(kappa, e_tilde, m_abs, omega=1):
     """a_0, a_1, ... of the recurrence, without end; see recurrence_coefficients.
 
@@ -154,14 +170,14 @@ def _recurrence(kappa, e_tilde, m_abs, omega=1):
         def step(prev, prev2, b, c):
             num, den = [0] + prev[0], prev[1]       # kappa a_{j-1}
             if prev2 is not None:
-                (P2, d2), b = prev2, Fraction(b)
-                den = math.lcm(den, d2 * b.denominator)
+                (P2, d2), (bn, bd) = prev2, _ratio(b)
+                den = math.lcm(den, d2 * bd)
                 num = [x * (den // prev[1]) for x in num]
-                f = b.numerator * (den // (d2 * b.denominator))
+                f = bn * (den // (d2 * bd))
                 for i, x in enumerate(P2):
                     num[i] += f * x
-            c = Fraction(c)
-            num, den = [x * c.denominator for x in num], den * c.numerator
+            cn, cd = _ratio(c)
+            num, den = [x * cd for x in num], den * cn
             g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
             return [x // g for x in num], den // g
         prev = ([1], 1)
@@ -207,7 +223,9 @@ def quantization_polynomial(n: int, m) -> Poly:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m_abs = abs(Fraction(m)) if isinstance(m, (int, Fraction)) else abs(m)
+    m_abs = abs(m)
+    if isinstance(m_abs, Fraction) and m_abs.denominator == 1:
+        m_abs = int(m_abs)   # an integer |m| keeps every recurrence step on ints
     return _kappa_poly(next(itertools.islice(_recurrence(None, 2 * (n - 1), m_abs), n, None)))
 
 
@@ -230,7 +248,10 @@ def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
     s = kappa^2; rational roots are kept exact so omega_tilde = Z^2 / s stays
     an exact Fraction where the closed forms are rational. Each branch's
     chamber follows from its rank k among the B branches: B - 1 - k for
-    Z > 0 and n - B + k for Z < 0.
+    Z > 0 and n - B + k for Z < 0. The chambers of every branch that
+    build_wavefunction builds from its roots are solved together, in one
+    damped Newton, and each such branch carries its roots; raises
+    EquilibriumError when a chamber does not converge or misses its kappa.
     """
     if n < 2:
         raise NoBranchError("n = 1 exists only at Z = 0; use oscillator_branch")
@@ -248,8 +269,8 @@ def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
         raise NoBranchError(f"no positive root of the quantization polynomial for n={n}, m={m}")
     roots.sort(key=lambda root: root[0])   # ascending s = Z^2 / omega: descending omega
     B = len(roots)
-    return [_branch_from_s(n, m, Z, exact, s, B - 1 - k if Z > 0 else n - B + k)
-            for k, (s, exact) in enumerate(roots)]
+    return _with_roots([_branch_from_s(n, m, Z, exact, s, B - 1 - k if Z > 0 else n - B + k)
+                        for k, (s, exact) in enumerate(roots)])
 
 
 def oscillator_branch(m, omega_tilde) -> QuantizationBranch:
@@ -367,12 +388,15 @@ class RadialWavefunction:
             dpoly = self.poly.derivative()
             return self.poly(r), dpoly(r), dpoly.derivative()(r)
         p, dp, ddp = np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+        f, t = np.empty_like(r), np.empty_like(r)   # the factor and one product: no array per root
         for root in roots.tolist():
-            f, df = 1.0 - r / root, -1.0 / root
+            df = -1.0 / root
+            np.divide(r, root, out=f)
+            np.subtract(1.0, f, out=f)
             ddp *= f
-            ddp += (2.0 * df) * dp
+            ddp += np.multiply(2.0 * df, dp, out=t)
             dp *= f
-            dp += df * p
+            dp += np.multiply(df, p, out=t)
             p *= f
         return p, dp, ddp
 
@@ -394,14 +418,22 @@ class RadialWavefunction:
         out = self.norm**2 * np.exp(-self.omega * r * r) * r ** (2 * float(self.m_abs)) * self.factor(r) ** 2
         return out if out.ndim else float(out)
 
-    def u_second(self, r):
-        r = np.asarray(r, dtype=float)
+    def _u_and_second(self, r):
+        """(u, u'') on a float array from one _factor_derivatives pass.
+
+        Each is rounded exactly as `u` and `u_second` round it.
+        """
         p, dp, ddp = self._factor_derivatives(r)
         nu, w = self.nu, self.omega
-        wv = r**nu * p
+        gauss, r_nu = self.norm * np.exp(-0.5 * w * r * r), r**nu
+        wv = r_nu * p
         wd = r ** (nu - 1) * (nu * p + r * dp)
         wdd = r ** (nu - 2) * (nu * (nu - 1) * p + 2 * nu * r * dp + r * r * ddp)
-        out = self.norm * np.exp(-0.5 * w * r * r) * (wdd - 2 * w * r * wd + (w * w * r * r - w) * wv)
+        return gauss * r_nu * p, gauss * (wdd - 2 * w * r * wd + (w * w * r * r - w) * wv)
+
+    def u_second(self, r):
+        r = np.asarray(r, dtype=float)
+        out = self._u_and_second(r)[1]
         return out if out.ndim else float(out)
 
     @property
@@ -527,68 +559,88 @@ _STEP_TOL = 1e-13      # converged: a full step below this times max |zeta|
 _KAPPA_TOL = 1e-12     # allowed |-2 sum(zeta) - kappa| / |kappa|
 
 
-def _stieltjes_roots(N: int, nu: float, n_pos: int) -> np.ndarray:
-    """The N roots zeta (ascending, n_pos of them positive) of the polynomial factor in rho.
+def _equilibria(N: int, nu: float, chambers: list[int]) -> np.ndarray:
+    """Row i: the N roots zeta (ascending, chambers[i] of them positive) of the factor in rho.
 
     At a root of p(rho) the radial equation reads
     zeta_k - nu / zeta_k - sum_(j != k) 1 / (zeta_k - zeta_j) = 0: zeta is a
     critical point of E = sum zeta^2 / 2 - nu sum ln|zeta| - sum_(j<k) ln|zeta_j - zeta_k|
     (Stieltjes 1885). E is strictly convex on each chamber, the ordered
-    configurations with n_pos positive roots, so the chamber holds exactly
-    one. Damped Newton finds it with the dense Hessian, from roots spread
-    evenly on each side of 0 out to sqrt(2N + 2 nu + 1), halving each step
-    until every root stays in the chamber.
+    configurations with N+ positive roots, so the chamber holds exactly one.
+    Damped Newton finds every requested chamber at once: one batched solve of
+    the dense Hessians per step, from roots spread evenly on each side of 0 out
+    to sqrt(2N + 2 nu + 1), each row's step halved until every root of the row
+    stays in its chamber. A row stops once its full step is below 1e-13 of its
+    max |zeta|; every operation is row by row, so the rows do not depend on
+    which chambers are solved together.
     """
-    if not 0 <= n_pos <= N:
-        raise ValueError(f"chamber N+ = {n_pos} is outside 0..{N}")
-    n_neg = N - n_pos
+    n_neg = N - np.asarray(chambers)
     s = math.sqrt(2 * N + 2 * nu + 1)
-    z = np.concatenate([-s * (np.arange(n_neg, 0, -1) - 0.5) / max(n_neg, 1),
-                        s * (np.arange(1, n_pos + 1) - 0.5) / max(n_pos, 1)])
-    if N == 0:
-        return z
+    z = np.array([np.concatenate([-s * (np.arange(k, 0, -1) - 0.5) / max(k, 1),
+                                  s * (np.arange(1, N - k + 1) - 0.5) / max(N - k, 1)])
+                  for k in n_neg.tolist()])
+    out = np.empty_like(z)
+    active = np.arange(len(z))
     for _ in range(_NEWTON_STEPS):
-        d = z[:, None] - z
-        d.flat[::N + 1] = 1.0
-        inv = 1.0 / d
-        inv.flat[::N + 1] = 0.0
-        hess = -inv * inv
-        hess.flat[::N + 1] = 1.0 + nu / (z * z) - hess.sum(1)
-        step = np.linalg.solve(hess, z - nu / z - inv.sum(1))
-        if not np.isfinite(step).all():
+        # one (rows, N, N) buffer holds the differences, their inverses, then the Hessians
+        h = z[:, :, None] - z[:, None, :]
+        diag = h.reshape(len(z), -1)[:, ::N + 1]
+        diag[:] = 1.0
+        np.divide(1.0, h, out=h)
+        diag[:] = 0.0
+        grad = z - nu / z - h.sum(2)
+        np.negative(np.square(h, out=h), out=h)
+        diag[:] = 1.0 + nu / (z * z) - h.sum(2)
+        step = np.linalg.solve(h, grad[:, :, None])[:, :, 0]
+        finite = np.isfinite(step).all(1)
+        if not finite.all():
+            active = active[~finite]
             break
-        t = 1.0
+        t = np.ones((len(z), 1))
         while True:
             new = z - t * step
-            if (new[1:] > new[:-1]).all() and (n_neg == 0 or new[n_neg - 1] < 0) \
-                    and (n_pos == 0 or new[n_neg] > 0):
+            inside = ((new[:, 1:] > new[:, :-1]).all(1) & (np.sum(new < 0, 1) == n_neg[active])
+                      & (np.sum(new > 0, 1) == N - n_neg[active]))
+            if inside.all():
                 break
-            t *= 0.5
+            t[~inside] *= 0.5
         z = new
-        if t == 1.0 and abs(step).max() <= _STEP_TOL * abs(z).max():
-            return z
+        done = (t[:, 0] == 1.0) & (abs(step).max(1) <= _STEP_TOL * abs(z).max(1))
+        out[active[done]] = z[done]
+        active, z = active[~done], z[~done]
+        if not len(active):
+            return out
     raise EquilibriumError(f"damped Newton did not converge in {_NEWTON_STEPS} steps on the "
-                           f"chamber N+ = {n_pos} of N = {N} roots (nu = {nu})")
+                           f"chamber N+ = {N - n_neg[active[0]]} of N = {N} roots (nu = {nu})")
 
 
-def _chamber_roots(branch: QuantizationBranch) -> np.ndarray:
-    """Roots r_k of the branch's polynomial factor in r, from its chamber's equilibrium.
+def _with_roots(branches: list[QuantizationBranch]) -> list[QuantizationBranch]:
+    """The branches, each one that build_wavefunction builds from roots now carrying them.
 
-    kappa = -2 sum(zeta) ties the chamber to the branch: raises
-    EquilibriumError unless |-2 sum(zeta) - kappa| <= 1e-12 |kappa|.
+    Their chambers are solved together (_equilibria), and kappa = -2 sum(zeta)
+    ties each chamber to its branch: raises EquilibriumError unless
+    |-2 sum(zeta) - kappa| <= 1e-12 |kappa|.
     """
-    if branch.chamber is None:
-        raise ValueError("the branch has no chamber; take it from solve_frequencies")
-    zeta = _stieltjes_roots(branch.n - 1, float(branch.m_abs) + 0.5, branch.chamber)
-    defect = abs(-2.0 * math.fsum(zeta) - branch.kappa)
-    bound = _KAPPA_TOL * abs(branch.kappa)
-    if not defect <= bound:
-        raise EquilibriumError(
-            f"the chamber N+ = {branch.chamber} of (n, m) = ({branch.n}, {branch.m}) gives "
-            f"|-2 sum(zeta) - kappa| = {defect:.3e}, above its bound {bound:.3e}")
-    roots = zeta / math.sqrt(branch.omega_tilde)
-    roots.flags.writeable = False
-    return roots
+    first = branches[0]
+    if not float(first.m_abs).is_integer():
+        return branches   # build_wavefunction builds no state at non-integer |m|
+    todo = [k for k, b in enumerate(branches) if not _exact_route(b)]
+    if not todo:
+        return branches
+    zeta = _equilibria(first.n - 1, float(first.m_abs) + 0.5, [branches[k].chamber for k in todo])
+    out = list(branches)
+    for k, row in zip(todo, zeta):
+        b = branches[k]
+        defect = abs(-2.0 * math.fsum(row) - b.kappa)
+        bound = _KAPPA_TOL * abs(b.kappa)
+        if not defect <= bound:
+            raise EquilibriumError(
+                f"the chamber N+ = {b.chamber} of (n, m) = ({b.n}, {b.m}) gives "
+                f"|-2 sum(zeta) - kappa| = {defect:.3e}, above its bound {bound:.3e}")
+        roots = row / math.sqrt(b.omega_tilde)
+        roots.flags.writeable = False
+        out[k] = replace(b, roots=roots)
+    return out
 
 
 def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
@@ -600,17 +652,17 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
     Gamma-moment sum, and `_certify` rejects a state whose float evaluation
     is too noisy to be normalized.
 
-    Root route, otherwise: the state carries the roots of p, the Stieltjes
-    equilibrium of the branch's chamber (`_chamber_roots`), and is evaluated
-    as prod(1 - r / r_k). Its norm is the shared Gauss rule on that product,
-    from 8 against 16 panels, certified at 1e-13 relative. A chamber that
-    Newton does not solve, or whose roots miss kappa, raises EquilibriumError.
+    Root route, otherwise: the state is evaluated as prod(1 - r / r_k) on the
+    branch's own roots array, which solve_frequencies found as the Stieltjes
+    equilibrium of the branch's chamber; raises ValueError for a branch that
+    carries no roots. Its norm is the shared Gauss rule on that product,
+    from 8 against 16 panels, certified at 1e-13 relative.
     """
     if not float(branch.m_abs).is_integer():
         raise ValueError(f"a trap state needs an integer |m|, got {branch.m!r}")
     common = dict(m_abs=float(branch.m_abs), omega=branch.omega_tilde, Z=float(branch.Z),
                   eps_rel=branch.eps_rel, branch=branch)
-    if branch.omega_exact is not None and float(branch.Z).is_integer():
+    if _exact_route(branch):
         w = branch.omega_exact
         m_abs = abs(Fraction(branch.m)) if _is_rational(branch.m) else float(branch.m_abs)
         poly = Poly(recurrence_coefficients(Fraction(int(branch.Z)), 2 * (branch.n - 1), m_abs,
@@ -618,11 +670,17 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
         wf = RadialWavefunction(poly=poly, norm=_norm_constant(m_abs, w, poly), **common)
         _certify(wf)
         return wf
-    roots = _chamber_roots(branch)
-    bare = RadialWavefunction(poly=_RootProduct(roots), norm=1.0, **common)
+    if len(branch.roots) != branch.n - 1:
+        raise ValueError("the branch carries no roots; take it from solve_frequencies")
+    bare = RadialWavefunction(poly=_RootProduct(branch.roots), norm=1.0, **common)
     total, _ = gauss_legendre(bare.u_squared, 0.0, _u2_range(bare), panels=8,
                               tol_abs=sys.float_info.min, tol_rel=1e-13)
     return replace(bare, norm=1.0 / math.sqrt(total))
+
+
+def _exact_route(branch: QuantizationBranch) -> bool:
+    """Whether build_wavefunction runs the exact recurrence (rational omega, integer Z)."""
+    return branch.omega_exact is not None and float(branch.Z).is_integer()
 
 
 def _is_rational(x) -> bool:
@@ -634,9 +692,11 @@ def verify_branch(wf: RadialWavefunction, grid=None) -> float:
 
     A direct check against the radial operator, evaluated from closed-form
     derivatives of the Gaussian-polynomial profile rather than the series
-    pipeline that produced it. The default grid is 600 points on [1e-3, 12],
-    plus 600 on [12, _u2_range(wf)] when the support reaches past r = 12; the
-    first 600 alone set a floor, so a peak past r = 12 cannot lower the result.
+    pipeline that produced it. u and u'' come from one product-rule pass over
+    the polynomial factor and equal `wf.u` and `wf.u_second` bit for bit. The
+    default grid is 600 points on [1e-3, 12], plus 600 on [12, _u2_range(wf)]
+    when the support reaches past r = 12; the first 600 alone set a floor, so
+    a peak past r = 12 cannot lower the result.
     """
     core = None  # the points whose own ratio is a floor; None: the whole grid
     if grid is None:
@@ -646,8 +706,8 @@ def verify_branch(wf: RadialWavefunction, grid=None) -> float:
         if r_max > 12.0:
             grid = np.concatenate([grid, np.linspace(12.0, r_max, 600)])
     r = np.asarray(grid, dtype=float)
-    u = wf.u(r)
-    hu = -0.5 * wf.u_second(r)
+    u, u2 = wf._u_and_second(r)
+    hu = -0.5 * u2
     cf = (wf.m_abs * wf.m_abs - 0.25) / 2.0
     hu = hu + (cf / (r * r) + 0.5 * wf.omega**2 * r * r + wf.Z / (2.0 * r)) * u
     err, size = np.abs(hu - wf.eps_rel * u), np.abs(u)

@@ -120,7 +120,7 @@ class DensityProfile:
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
+        if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):   # NaN fails too
             raise ValueError("grid must be strictly increasing")
 
 
@@ -388,12 +388,15 @@ def _entropy_pointwise(g):
 def entropy_density(source, grid=None) -> EntropyProfile:
     """Entropy-density profile S_G(r) = -G ln G with 0 ln 0 = 0.
 
-    Accepts a PairCorrelation or a RadialWavefunction.
+    Accepts a PairCorrelation or a RadialWavefunction; raises ValueError for
+    a non-finite radius.
     """
     wf = source.wf if isinstance(source, PairCorrelation) else source
     if grid is None:
         grid = default_grid(wf.omega)
     grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("entropy radii must be finite")
     vals = _entropy_pointwise(wf.density_radial(grid))
     return EntropyProfile(grid=grid, values=vals, total=total_entropy(wf))
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -105,7 +108,8 @@ def _fraction_recurrence(e_tilde, m_abs, count, omega=1):
     return out
 
 
-@pytest.mark.parametrize("m", [0, 1, 5, Fraction(1, 2), Fraction(3, 2), Fraction(-7, 3)])
+@pytest.mark.parametrize("m", [0, 1, 5, Fraction(1, 2), Fraction(3, 2), Fraction(-7, 3),
+                               Fraction(-4, 2), 2.0])
 def test_symbolic_recurrence_matches_fraction_reference(m):
     m_abs = abs(Fraction(m))
     for n in range(1, 40):
@@ -360,6 +364,107 @@ def test_domain_invariants(m):
                 assert abs(total - 1.0) < 1e-12, key
                 virial = wf.omega**2 * r2 + 0.25 * wf.Z * inv_r
                 assert virial == pytest.approx(wf.eps_rel, rel=1e-10, abs=0.0), key
+
+
+def _single_chamber_roots(N, nu, n_pos):
+    """Reference: the chamber's equilibrium by damped Newton on that chamber alone.
+
+    Same start, step halving and stopping rule as the batched solver, on one
+    N-vector with one N x N Hessian per step.
+    """
+    n_neg = N - n_pos
+    s = math.sqrt(2 * N + 2 * nu + 1)
+    z = np.concatenate([-s * (np.arange(n_neg, 0, -1) - 0.5) / max(n_neg, 1),
+                        s * (np.arange(1, n_pos + 1) - 0.5) / max(n_pos, 1)])
+    for _ in range(100):
+        d = z[:, None] - z
+        d.flat[::N + 1] = 1.0
+        inv = 1.0 / d
+        inv.flat[::N + 1] = 0.0
+        hess = -inv * inv
+        hess.flat[::N + 1] = 1.0 + nu / (z * z) - hess.sum(1)
+        step = np.linalg.solve(hess, z - nu / z - inv.sum(1))
+        t = 1.0
+        while True:
+            new = z - t * step
+            if (new[1:] > new[:-1]).all() and (n_neg == 0 or new[n_neg - 1] < 0) \
+                    and (n_pos == 0 or new[n_neg] > 0):
+                break
+            t *= 0.5
+        z = new
+        if t == 1.0 and abs(step).max() <= 1e-13 * abs(z).max():
+            return z
+    raise AssertionError((N, nu, n_pos))
+
+
+@pytest.mark.parametrize("m", [0, 5, 10])
+def test_batched_roots_match_single_chamber_newton(m):
+    # every chamber solved together equals its own solve bit for bit; exact branches carry none
+    for n in DOMAIN_N:
+        for Z in (1, -1, 2):
+            for b in hooke.solve_frequencies(n, m, Z):
+                if b.omega_exact is not None:
+                    assert b.roots.size == 0
+                    continue
+                want = _single_chamber_roots(n - 1, m + 0.5, b.chamber) / math.sqrt(b.omega_tilde)
+                assert b.roots.tobytes() == want.tobytes(), (n, m, Z, b.chamber)
+                assert not b.roots.flags.writeable
+
+
+def test_state_shares_the_branch_roots():
+    b = hooke.solve_frequencies(7, 2, 1)[0]
+    assert hooke.build_wavefunction(b).roots is b.roots
+    assert hooke.oscillator_branch(0, 0.3).roots.size == 0
+    assert hooke.build_wavefunction(hooke.oscillator_branch(0, 0.3)).nodes == 0
+    with pytest.raises(ValueError):
+        hooke.build_wavefunction(dataclasses.replace(b, roots=np.empty(0)))
+
+
+def test_equilibrium_failures_are_loud(monkeypatch):
+    monkeypatch.setattr(hooke, "_NEWTON_STEPS", 1)
+    with pytest.raises(hooke.EquilibriumError):
+        hooke.solve_frequencies(8, 0, -1)
+    assert hooke.solve_frequencies(3, 0, 1)[0].roots.size == 0   # exact branches solve no chamber
+    monkeypatch.setattr(hooke, "_NEWTON_STEPS", 100)
+    monkeypatch.setattr(hooke, "_KAPPA_TOL", -1.0)
+    with pytest.raises(hooke.EquilibriumError):
+        hooke.solve_frequencies(8, 0, -1)
+
+
+def test_branches_with_roots_round_trip():
+    branches = hooke.solve_frequencies(6, 1, -1)
+    assert all(b.roots.size == 5 for b in branches)
+    assert {b: k for k, b in enumerate(branches)} == {b: k for k, b in enumerate(branches)}
+    assert "roots" not in repr(branches[0])
+    r = np.linspace(0.0, 20.0, 9)
+    for b in branches:
+        for twin in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+            assert twin == b and hash(twin) == hash(b)
+            assert twin.roots.tobytes() == b.roots.tobytes()
+            assert np.array_equal(hooke.build_wavefunction(twin).u(r), hooke.build_wavefunction(b).u(r))
+
+
+def _residual_by_parts(wf):
+    """verify_branch's default residual, with u and u'' from separate wf.u and wf.u_second calls."""
+    r = np.linspace(1e-3, 12.0, 600)
+    r_max = hooke._u2_range(wf)
+    if r_max > 12.0:
+        r = np.concatenate([r, np.linspace(12.0, r_max, 600)])
+    u = wf.u(r)
+    hu = -0.5 * wf.u_second(r)
+    cf = (wf.m_abs * wf.m_abs - 0.25) / 2.0
+    hu = hu + (cf / (r * r) + 0.5 * wf.omega**2 * r * r + wf.Z / (2.0 * r)) * u
+    err, size = np.abs(hu - wf.eps_rel * u), np.abs(u)
+    return float(max(np.max(err) / np.max(size), np.max(err[:600]) / np.max(size[:600])))
+
+
+@pytest.mark.parametrize("n, m, Z", [(2, 0, 1), (3, 2, -1), (4, 1, 2), (6, 1, -1), (24, 10, -1)])
+def test_residual_pass_matches_separate_calls(n, m, Z):
+    for b in hooke.solve_frequencies(n, m, Z):
+        wf = hooke.build_wavefunction(b)
+        assert hooke.verify_branch(wf) == _residual_by_parts(wf), (n, m, Z, b.chamber)
+    wf = hooke.build_wavefunction(hooke.oscillator_branch(1, 0.3))
+    assert hooke.verify_branch(wf) == _residual_by_parts(wf)
 
 
 def test_wavefunction_exact_coefficients():

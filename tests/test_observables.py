@@ -391,6 +391,16 @@ def test_entropy_surface_consistent_with_profile():
                                rtol=1e-12, atol=1e-14)
 
 
+def test_nan_radius_is_rejected():
+    # NaN compares False both ways, so a "no step <= 0" guard let it through
+    with pytest.raises(ValueError):
+        observables.closed_form_density("n2m0Zp1", [math.nan, 1.0, 2.0])
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(2, 0, 1)[0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            observables.entropy_density(wf, [bad, 1.0])
+
+
 def test_entropy_scan_rejects_z_zero():
     with pytest.raises(hooke.NoBranchError):
         observables.entropy_scan(2, (0,), (0.0,))
