@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -134,11 +135,11 @@ def _resolve_branch(n, m, Z, omega, index):
         return hooke.oscillator_branch(m, parse_rational(omega))
     if omega is not None:
         raise ConfigError("omega is fixed by the closure condition when Z != 0")
-    branches = hooke.solve_frequencies(n, m, Z)
+    branches = hooke._exact_branches(n, m, Z)
     if not 0 <= index < len(branches):
         raise ConfigError(f"branch index {index} out of range; "
                           f"{len(branches)} branch(es) for n={n}, m={m}, Z={Z}")
-    return branches[index]
+    return hooke._with_roots([branches[index]])[0]   # roots for this branch alone
 
 
 def _require(args, *names):
@@ -156,7 +157,7 @@ def cmd_solve(args) -> int:
     rows = []
     for m in parse_int_range(args.m):
         for Z in parse_number_list(args.Z):
-            for b in hooke.solve_frequencies(args.n, m, Z):
+            for b in hooke._exact_branches(args.n, m, Z):   # frequencies need no roots
                 rows.append((b.n, b.m, b.Z, b.kappa, b.omega_tilde,
                              b.eps_rel, 2.0 * b.eps_rel))
     text = render_csv(("n", "m", "Z", "kappa", "omega", "eps_rel", "eps_rel_doubled"), rows)
@@ -466,7 +467,13 @@ _LEAF_PARSERS: dict = {}
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hookium parser, built once per process; it also fills _LEAF_PARSERS.
+
+    Parsing leaves the parser unchanged (each call gets a fresh Namespace, and
+    config values land on that), so every main call can share it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value file merged under explicit flags")
     common.add_argument("--out-dir", help="output directory (default: $HOOKIUM_OUT_DIR or .)")

@@ -253,6 +253,11 @@ def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
     damped Newton, and each such branch carries its roots; raises
     EquilibriumError when a chamber does not converge or misses its kappa.
     """
+    return _with_roots(_exact_branches(n, m, Z))
+
+
+def _exact_branches(n: int, m, Z) -> list[QuantizationBranch]:
+    """solve_frequencies without the Stieltjes roots: every branch's roots array is empty."""
     if n < 2:
         raise NoBranchError("n = 1 exists only at Z = 0; use oscillator_branch")
     if Z == 0:
@@ -269,8 +274,8 @@ def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
         raise NoBranchError(f"no positive root of the quantization polynomial for n={n}, m={m}")
     roots.sort(key=lambda root: root[0])   # ascending s = Z^2 / omega: descending omega
     B = len(roots)
-    return _with_roots([_branch_from_s(n, m, Z, exact, s, B - 1 - k if Z > 0 else n - B + k)
-                        for k, (s, exact) in enumerate(roots)])
+    return [_branch_from_s(n, m, Z, exact, s, B - 1 - k if Z > 0 else n - B + k)
+            for k, (s, exact) in enumerate(roots)]
 
 
 def oscillator_branch(m, omega_tilde) -> QuantizationBranch:

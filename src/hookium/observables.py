@@ -294,26 +294,34 @@ class CmWidthFit:
 def fit_cm_width(wf: RadialWavefunction, reference) -> CmWidthFit:
     """Width beta that best matches `reference(r)` (a normalized density callable).
 
-    The search runs over [omega/10, 10 omega]. The convolved density at the
-    fitted beta is compared on 25 points over [0, 6] by relative RMS
-    deviation; the convention value beta = 4 omega_tilde (the trap's CM
-    ground-state width at zero field) is reported alongside.
+    The reference is sampled on 25 points over [0, 6], and the points where it
+    is at least 1e-6 of its peak are compared. Bounded Brent search over
+    [omega/10, 10 omega] (to 1e-7 omega) minimizes the mean squared relative
+    deviation of the convolved density there: it is smooth at its minimum, so
+    the parabolic steps converge, where its square root would have a V-shaped
+    minimum that leaves only golden-section steps. objective is the relative
+    RMS deviation at the fitted beta; the convention value beta = 4 omega_tilde
+    (the trap's CM ground-state width at zero field) is reported alongside.
+    Raises ValueError when a sample is not finite or none is positive.
     """
     pts = np.linspace(0.0, 6.0, 25)
-    ref = np.asarray([reference(float(r)) for r in pts])
+    ref = np.asarray([reference(float(r)) for r in pts], dtype=float)
+    if not np.all(np.isfinite(ref)) or not ref.max() > 0:
+        raise ValueError("the reference density needs finite samples on [0, 6], "
+                         "at least one of them positive")
     mask = ref >= 1e-6 * ref.max()
 
-    def objective(beta: float) -> float:
+    def mean_square(beta: float) -> float:
         q = _convolve(wf, beta, pts, "bessel", 1e-13, 1e-10)
         rel = (q[mask] - ref[mask]) / ref[mask]
-        return float(np.sqrt(np.mean(rel * rel)))
+        return float(np.mean(rel * rel))
 
     from scipy import optimize   # only the width fit needs it; importing it costs about 20 MB
 
-    res = optimize.minimize_scalar(objective, bounds=(wf.omega / 10.0, 10.0 * wf.omega),
+    res = optimize.minimize_scalar(mean_square, bounds=(wf.omega / 10.0, 10.0 * wf.omega),
                                   method="bounded", options={"xatol": 1e-7 * wf.omega})
     return CmWidthFit(beta=float(res.x), beta_convention=4.0 * wf.omega,
-                      objective=float(res.fun))
+                      objective=math.sqrt(res.fun))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hookium import cli
+from hookium import cli, hooke, serialize
 
 
 def run(capsys, *argv):
@@ -26,13 +26,72 @@ def readme_cli_commands():
             if line.startswith("hookium ")]
 
 
+def _fresh_env(**extra):
+    src = str(Path(__file__).parent.parent / "src")
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_readme_cli_commands_succeed(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; each in-process run, after the
+    # others, prints what a fresh interpreter prints
     monkeypatch.setenv("HOOKIUM_OUT_DIR", str(tmp_path))
     commands = readme_cli_commands()
     assert len(commands) == 9
+    assert cli.build_parser() is cli.build_parser()
     for argv in commands:
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+        fresh = subprocess.run([sys.executable, "-m", "hookium", *argv], capture_output=True,
+                               text=True, env=_fresh_env(HOOKIUM_OUT_DIR=str(tmp_path)),
+                               timeout=300)
+        assert fresh.returncode == 0, (argv, fresh.stderr)
+        assert out == fresh.stdout, argv
+
+
+def test_config_values_do_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("n = 3\nm = 0:2\nZ = 1,-1\nscan = true\n")
+    code, out, _ = run(capsys, "entropy", "--config", str(cfg))
+    assert code == 0 and out.startswith("m,omega,Z,entropy\n")
+    code, out, _ = run(capsys, "entropy", "--n", "1", "--Z", "0", "--omega", "0.5")
+    assert code == 0
+    assert out == ("n = 1\nm = 0\nZ = 0\nomega = 0.5\neps_rel = 0.5\n"
+                   "total_entropy = 2.8378770664093453\n")
+    code, _, err = run(capsys, "entropy")
+    assert code == 2
+    assert "missing required option --n" in err
+
+
+def test_valid_command_succeeds_after_usage_error(capsys):
+    code, _, err = run(capsys, "solve", "--n", "2", "--frequency", "1")
+    assert code == 2 and "unrecognized arguments" in err
+    code, _, err = run(capsys, "qes", "condition", "--n", "two")
+    assert code == 2 and "invalid int value" in err
+    code, out, _ = run(capsys, "solve", "--n", "4", "--m", "0", "--Z", "1")
+    assert code == 0
+    golden = Path(__file__).parent / "goldens" / "solve_n4.csv"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_cli_solves_only_the_chambers_it_reads(capsys, monkeypatch):
+    branches = hooke.solve_frequencies(8, 0, -1)
+    solved = []
+    equilibria = hooke._equilibria
+
+    def spy(N, nu, chambers):
+        solved.append(list(chambers))
+        return equilibria(N, nu, chambers)
+
+    monkeypatch.setattr(hooke, "_equilibria", spy)
+    code, out, _ = run(capsys, "solve", "--n", "8", "--m", "0", "--Z", "-1")
+    assert code == 0 and solved == []
+    rows = [(b.n, b.m, b.Z, b.kappa, b.omega_tilde, b.eps_rel, 2.0 * b.eps_rel)
+            for b in branches]
+    assert out == serialize.render_csv(("n", "m", "Z", "kappa", "omega", "eps_rel",
+                                        "eps_rel_doubled"), rows)
+    code, _, _ = run(capsys, "entropy", "--n", "8", "--m", "0", "--Z", "-1", "--branch", "1")
+    assert code == 0 and solved == [[branches[1].chamber]]
 
 
 def test_cli_import_skips_scipy_optimize_and_integrate():
@@ -40,10 +99,8 @@ def test_cli_import_skips_scipy_optimize_and_integrate():
     # and Gamma values, the Ritz eigenproblem); a cold start loads none of it
     code = ("import sys, hookium.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=120)
+                         env=_fresh_env(), check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 
 

@@ -217,6 +217,46 @@ def test_fit_recovers_catalog_width():
     assert not cmp.fit.matches_convention
 
 
+def _catalog_fit_inputs(case_id):
+    """The state and normalized reference compare_density_routes hands fit_cm_width."""
+    case = observables.CATALOG[case_id]
+    scale = observables.closed_form_density(case).scale_applied
+    return case, hooke.build_wavefunction(case.branch()), lambda r: case.raw(r) * scale
+
+
+@pytest.mark.parametrize("case_id", sorted(observables.CATALOG))
+def test_fit_cm_width_converges_on_smooth_objective(case_id, monkeypatch):
+    case, wf, reference = _catalog_fit_inputs(case_id)
+    calls = []
+    convolve = observables._convolve
+
+    def spy(*args):
+        calls.append(args[1])
+        return convolve(*args)
+
+    monkeypatch.setattr(observables, "_convolve", spy)
+    fit = observables.fit_cm_width(wf, reference)
+    monkeypatch.undo()
+    # bounded Brent on the mean square takes parabolic steps: 14-19 convolutions,
+    # against 27-31 on its V-shaped square root
+    assert len(calls) <= 20
+    assert abs(fit.beta / float(case.omega) - 1.0) <= 1e-7
+
+    pts = np.linspace(0.0, 6.0, 25)
+    ref = np.asarray([reference(float(r)) for r in pts])
+    mask = ref >= 1e-6 * ref.max()
+    rel = (observables._convolve(wf, fit.beta, pts, "bessel", 1e-13, 1e-10)[mask]
+           - ref[mask]) / ref[mask]
+    assert fit.objective == math.sqrt(np.mean(rel * rel))
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan, -1.0])
+def test_fit_cm_width_rejects_reference_without_positive_samples(value):
+    _, wf, _ = _catalog_fit_inputs("n2m1Zp1")
+    with pytest.raises(ValueError, match="positive"):
+        observables.fit_cm_width(wf, lambda r: value)
+
+
 def test_entropy_profile_origin_values():
     frozen = {(2, 0): -1.4319677143160672, (3, 0): 0.36772326065996835}
     for (n, m), want in frozen.items():
