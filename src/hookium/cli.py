@@ -104,6 +104,8 @@ def build_grid(spec, spacing, omega):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"bad grid {spec!r} (want 'min:max:points')") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"bad grid {spec!r}: min and max must be finite")
     if n < 2 or not hi > lo:
         raise ConfigError(f"bad grid {spec!r}: need max > min and points >= 2")
     if lo < 0:
@@ -292,6 +294,9 @@ def cmd_entropy(args) -> int:
     wf = hooke.build_wavefunction(branch)
     grid = build_grid(args.grid, args.spacing, wf.omega)
     profile = observables.entropy_density(wf, grid)
+    # the surface is checked and computed before any line is printed
+    surf = observables.entropy_surface(wf, extent=args.extent, points=args.surface_points) \
+        if args.surface else None
     print(f"n = {branch.n}")
     print(f"m = {branch.m}")
     print(f"Z = {format_number(branch.Z)}")
@@ -303,8 +308,7 @@ def cmd_entropy(args) -> int:
         path = write_text(base / f"{args.out}.csv",
                           render_csv(("r", "value"), profile_rows(profile.grid, profile.values)))
         print(f"wrote {path}")
-    if args.surface:
-        surf = observables.entropy_surface(wf, extent=args.extent, points=args.surface_points)
+    if surf is not None:
         if args.out:
             spath = write_text(base / f"{args.out}_surface.csv",
                                render_csv(("x", "y", "value"),

@@ -16,14 +16,12 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .integrate import QuadratureNonConvergence, gauss_legendre
-from .polyops import Poly, _compensated_horner, _integer_form, _scaled_value, real_roots, sturm_count
+from .polyops import Poly, _compensated_horner, real_roots, sturm_count
 from .series import EulerPolynomial, MonomialOperator
 
 __all__ = [
@@ -280,7 +278,7 @@ def _exact_branches(n: int, m, Z) -> list[QuantizationBranch]:
 
 def oscillator_branch(m, omega_tilde) -> QuantizationBranch:
     """Coulomb-free nodeless state: n = 1, any frequency, Gaussian profile."""
-    if omega_tilde <= 0:
+    if not omega_tilde > 0:
         raise ValueError("omega_tilde must be positive")
     om = Fraction(omega_tilde) if isinstance(omega_tilde, (int, Fraction)) else None
     return QuantizationBranch(n=1, m=m, Z=0.0, kappa=0.0, omega_tilde=float(omega_tilde),
@@ -299,8 +297,8 @@ class CenterOfMassState:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
 
     @classmethod
     def from_trap(cls, params: HookeParams) -> "CenterOfMassState":
@@ -452,111 +450,34 @@ class RadialWavefunction:
         return sturm_count(self.poly, 0, math.inf)
 
 
-@lru_cache(maxsize=None)
-def _pi(prec: int) -> Decimal:
-    """pi to prec digits, by the series recipe of the `decimal` documentation."""
-    with localcontext() as ctx:
-        ctx.prec = prec + 2
-        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
-        while s != lasts:
-            lasts = s
-            n, na = n + na, na + 8
-            d, da = d + da, da + 32
-            t = (t * n) / d
-            s += t
-        ctx.prec = prec
-        return +s
-
-
-def _moment_sums(a: int, omega, poly: Poly):
-    """(E_int, O_int, L) with E = E_int / L and O = O_int / L exactly; see _norm_constant.
-
-    Float coefficients and a float omega enter as their binary rationals.
-    """
-    P, D = _integer_form(poly)
-    sq = [0] * (2 * len(P) - 1)
-    for i, x in enumerate(P):
-        for j, y in enumerate(P):
-            sq[i + j] += x * y
-    # even lags times (a)_j; odd lags times 2^j (a + 1/2)_j = (2a+1)(2a+3)...(2a+2j-1)
-    even, odd, rise_e, rise_o = [], [], 1, 1
-    for j, c in enumerate(sq[0::2]):
-        even.append(c * rise_e)
-        rise_e *= a + j
-    for j, c in enumerate(sq[1::2]):
-        odd.append(c * rise_o)
-        rise_o *= 2 * a + 1 + 2 * j
-    wn, wd = Fraction(omega).as_integer_ratio()
-    de, do = len(even) - 1, max(len(odd) - 1, 0)
-    # _scaled_value(Q, wd, den) = den^deg(Q) Q(wd / den), over the common L
-    E_int = _scaled_value(even, wd, wn) * (2 * wn) ** do
-    O_int = _scaled_value(odd, wd, 2 * wn) * wn**de if odd else 0
-    return E_int, O_int, D * D * wn**de * (2 * wn) ** do
-
-
-def _norm_constant(m_abs, omega, poly: Poly) -> float:
-    """1 / sqrt(int_0^inf exp(-omega r^2) r^(2a-1) p(r)^2 dr) with a = |m| + 1.
-
-    With p^2 = sum_k c_k r^k every power is a Gamma moment
-    Gamma(a + k/2) / (2 omega^(a + k/2)), so the integral is
-    Gamma(a) / (2 omega^a) [E + rho O] with E = sum_j c_2j (a)_j omega^-j,
-    O = sum_j c_(2j+1) (a + 1/2)_j omega^-j and
-    rho = Gamma(a + 1/2) / (Gamma(a) sqrt(omega)). E and O are exact integer
-    sums; only rho, which carries sqrt(pi / omega), is rounded. E and rho O
-    can cancel (by up to 34 digits for n <= 32), so `decimal` runs at a
-    precision that keeps 20 digits beyond the cancellation it measures.
-    """
-    if not float(m_abs).is_integer():
-        raise ValueError(f"the Gamma-moment norm needs an integer |m|, got {m_abs!r}")
-    if poly.is_zero():
-        raise ValueError("the zero polynomial has no norm")
-    a = int(m_abs) + 1
-    E_int, O_int, L = _moment_sums(a, omega, poly)
-    wn, wd = Fraction(omega).as_integer_ratio()
-    # rho = R sqrt(pi wd / wn) with R = (2a)! / (4^a a! (a-1)!)
-    R = Fraction(math.factorial(2 * a), 4**a * math.factorial(a) * math.factorial(a - 1))
-    prec = 60
-    while True:
-        with localcontext() as ctx:
-            ctx.prec = prec
-            rho = (_pi(prec) * (wd * R.numerator**2) / (wn * R.denominator**2)).sqrt()
-            total = E_int + rho * O_int
-            lost = max(Decimal(E_int).adjusted(), (rho * O_int).adjusted()) - total.adjusted()
-            if total > 0 and lost + 20 <= prec:
-                den = math.factorial(a - 1) * wd**a * total
-                return float((2 * wn**a * L / den).sqrt())
-        prec = 20 * (max(lost, prec) // 20 + 3)
-
-
 def _u2_range(wf: "RadialWavefunction") -> float:
     """Radius past which u^2, polynomial factor included, is below e^-80 of its peak."""
     k = 2.0 * wf.m_abs + 1.0 + 2.0 * max(wf.poly.degree, 0)
     return math.sqrt((80.0 + 4.0 * k) / wf.omega)
 
 
-_NORM_TOL = 1e-10   # allowed |int u^2 - 1| and integrated evaluation error of the float state
+_NOISE_TOL = 1e-10   # allowed integrated float evaluation error of an exact-coefficient state
 
 
 def _certify(wf: RadialWavefunction) -> None:
-    """Raise QuadratureNonConvergence unless the state as evaluated in floats is normalized.
+    """Raise QuadratureNonConvergence unless p, as evaluated in floats, is its exact value.
 
-    The shared Gauss rule (from 4 against 8 panels) integrates u^2 and
+    The shared Gauss rule (from 4 against 8 panels) integrates
     N^2 exp(-omega r^2) r^(2|m|+1) |p^2 - p~^2|, with p~ the compensated Horner
-    value of the exact polynomial. Both must be within 1e-10: the first of 1,
-    the second of 0. The second integral measures the float evaluation error
-    of p directly, so a noisy state cannot pass by how its noise falls on the
-    rule's nodes.
+    value of the exact polynomial; it must be within 1e-10 of 0. This measures
+    the float evaluation error of p directly, so a noisy state cannot pass by
+    how its noise falls on the rule's nodes. That u^2 integrates to 1 is the
+    normalization's own certificate (build_wavefunction).
     """
-    def rows(r):
-        base = wf.norm**2 * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1)
+    def noise(r):
         p = wf.poly(r)
-        return np.stack([base * p**2, base * np.abs(p**2 - _compensated_horner(wf.poly, r) ** 2)])
-    (total, error), _ = gauss_legendre(rows, 0.0, _u2_range(wf), panels=4,
-                                       tol_abs=_NORM_TOL, tol_rel=0.0)
-    if not (abs(total - 1.0) <= _NORM_TOL and error <= _NORM_TOL):
+        return (wf.norm**2 * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1)
+                * np.abs(p**2 - _compensated_horner(wf.poly, r) ** 2))
+    error, _ = gauss_legendre(noise, 0.0, _u2_range(wf), panels=4, tol_abs=_NOISE_TOL, tol_rel=0.0)
+    if not error <= _NOISE_TOL:
         raise QuadratureNonConvergence(
-            f"the state as evaluated in floats integrates to {total:.17g} with float evaluation "
-            f"error {error:.3e}; need both within {_NORM_TOL:.0e} (of 1 and of 0)")
+            f"the state as evaluated in floats carries evaluation error {error:.3e}; "
+            f"need it within {_NOISE_TOL:.0e}")
 
 
 _NEWTON_STEPS = 100    # damped Newton steps allowed per chamber
@@ -649,38 +570,39 @@ def _with_roots(branches: list[QuantizationBranch]) -> list[QuantizationBranch]:
 
 
 def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
-    """Normalized u for a branch with integer |m|, by one of two routes.
+    """Normalized u for a branch with integer |m|; the routes differ only in p.
 
     Exact route, when omega_tilde is rational and Z an integer (the n = 2, 3
     closed forms and every rational root): the recurrence runs in r on exact
-    rationals (kappa = Z, omega = omega_tilde), the norm is the exact
-    Gamma-moment sum, and `_certify` rejects a state whose float evaluation
-    is too noisy to be normalized.
+    rationals (kappa = Z, omega = omega_tilde), and `_certify` rejects a
+    state whose float evaluation of p is too noisy.
 
-    Root route, otherwise: the state is evaluated as prod(1 - r / r_k) on the
-    branch's own roots array, which solve_frequencies found as the Stieltjes
-    equilibrium of the branch's chamber; raises ValueError for a branch that
-    carries no roots. Its norm is the shared Gauss rule on that product,
-    from 8 against 16 panels, certified at 1e-13 relative.
+    Root route, otherwise: p is prod(1 - r / r_k) on the branch's own roots
+    array, which solve_frequencies found as the Stieltjes equilibrium of the
+    branch's chamber; raises ValueError for a branch that carries no roots.
+
+    Both are normalized by the shared Gauss rule on u^2, from 8 against 16
+    panels, certified at 1e-13 relative.
     """
     if not float(branch.m_abs).is_integer():
         raise ValueError(f"a trap state needs an integer |m|, got {branch.m!r}")
-    common = dict(m_abs=float(branch.m_abs), omega=branch.omega_tilde, Z=float(branch.Z),
-                  eps_rel=branch.eps_rel, branch=branch)
-    if _exact_route(branch):
-        w = branch.omega_exact
+    exact = _exact_route(branch)
+    if exact:
         m_abs = abs(Fraction(branch.m)) if _is_rational(branch.m) else float(branch.m_abs)
         poly = Poly(recurrence_coefficients(Fraction(int(branch.Z)), 2 * (branch.n - 1), m_abs,
-                                            branch.n, w))
-        wf = RadialWavefunction(poly=poly, norm=_norm_constant(m_abs, w, poly), **common)
-        _certify(wf)
-        return wf
-    if len(branch.roots) != branch.n - 1:
+                                            branch.n, branch.omega_exact))
+    elif len(branch.roots) != branch.n - 1:
         raise ValueError("the branch carries no roots; take it from solve_frequencies")
-    bare = RadialWavefunction(poly=_RootProduct(branch.roots), norm=1.0, **common)
+    else:
+        poly = _RootProduct(branch.roots)
+    bare = RadialWavefunction(m_abs=float(branch.m_abs), omega=branch.omega_tilde, Z=float(branch.Z),
+                              eps_rel=branch.eps_rel, poly=poly, norm=1.0, branch=branch)
     total, _ = gauss_legendre(bare.u_squared, 0.0, _u2_range(bare), panels=8,
                               tol_abs=sys.float_info.min, tol_rel=1e-13)
-    return replace(bare, norm=1.0 / math.sqrt(total))
+    wf = replace(bare, norm=1.0 / math.sqrt(total))
+    if exact:
+        _certify(wf)
+    return wf
 
 
 def _exact_route(branch: QuantizationBranch) -> bool:

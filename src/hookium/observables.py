@@ -82,7 +82,7 @@ def _rule_rows(f, rows, b: float, tol_abs: float, tol_rel: float):
 
 def default_grid(omega: float):
     """512 log-spaced radii on [1e-4, 12/sqrt(omega)]."""
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
     return np.geomspace(1e-4, 12.0 / math.sqrt(omega), 512)
 
@@ -425,6 +425,8 @@ def entropy_surface(wf: RadialWavefunction, extent: float | None = None,
         raise ValueError("surface points must be >= 1")
     if extent is None:
         extent = 12.0 / math.sqrt(wf.omega)
+    elif not 0 < extent < math.inf:
+        raise ValueError(f"surface extent must be finite and positive, got {extent!r}")
     axis = np.linspace(-extent, extent, points)
     X, Y = np.meshgrid(axis, axis, indexing="ij")
     R = np.hypot(X, Y)

@@ -71,7 +71,7 @@ class SexticParams:
     m: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
     @property
@@ -430,6 +430,8 @@ def variational_state(p: SexticParams, target_nodes: int, N: int,
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    if target_nodes < 0:
+        raise ValueError(f"target_nodes must be >= 0, got {target_nodes}")
     lo, hi = (-math.inf, math.inf) if E_bracket is None else map(float, E_bracket)
     if not hi > lo:
         raise ValueError("empty bracket")

@@ -247,6 +247,13 @@ def test_build_grid_rejects_negative_radii(spec):
         cli.build_grid(spec, "linear", 1.0)
 
 
+@pytest.mark.parametrize("spec", ["0:inf:5", "nan:1:5", "-inf:1:5", "0:nan:5", "inf:inf:5"])
+def test_build_grid_rejects_nonfinite_ends(spec):
+    for spacing in ("linear", "log"):
+        with pytest.raises(cli.ConfigError, match="min and max must be finite"):
+            cli.build_grid(spec, spacing, 1.0)
+
+
 def test_density_low_frequency_branch_at_default_tolerance(capsys):
     # omega = 0.0068; the float-coefficient state once gave P and 2P sums 2.6e-11 apart (exit 4)
     code, out, err = run(capsys, "density", "--n", "8", "--m", "10", "--Z", "-2", "--branch", "3")
@@ -378,10 +385,19 @@ def test_numeric_flags_take_fractions(capsys):
     "density --case n2m0Zp1 --method closed --grid 0:4:3 --quad-tol nan",
     "density --case n2m0Zp1 --method closed --grid 0:4:3 --quad-tol inf",
     "density --n 2 --Z 1 --grid=-1:4:3",
+    "density --n 2 --Z 1 --beta nan",
+    "density --n 2 --Z 1 --beta inf",
+    "density --n 2 --Z 1 --grid 0:inf:5",
+    "density --n 2 --Z 1 --grid=-inf:1:5",
+    "entropy --n 2 --Z 1 --surface --extent nan",
+    "entropy --n 2 --Z 1 --surface --extent inf",
+    "entropy --n 2 --Z 1 --surface --extent 0",
+    "entropy --n 2 --Z 1 --surface --extent=-1",
+    "qes variational --gamma 1 --alpha -8 --nodes=-1 --N 8",
 ])
 def test_out_of_range_values_are_config_errors(capsys, argv):
-    code, _, err = run(capsys, *argv.split())
-    assert code == 2
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
     assert err.startswith("error: ")
     if "abc" in argv.split():
         assert err == "error: not a number: 'abc'\n"

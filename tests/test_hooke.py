@@ -232,35 +232,51 @@ def test_wavefunction_normalized():
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("Z", [1, -1])
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
+_PI = Fraction("3.141592653589793238462643383279502884197169399375105820974944592")
+
+
+def _gamma_moment_norm(m_abs, omega, poly):
+    """Oracle: 1 / sqrt(int_0^inf exp(-omega r^2) r^(2a-1) p(r)^2 dr) with a = |m| + 1.
+
+    With p^2 = sum_k c_k r^k every power is a Gamma moment, so the integral is
+    Gamma(a) / (2 omega^a) [E + rho O] with E = sum_j c_2j (a)_j omega^-j and
+    O = sum_j c_(2j+1) (a + 1/2)_j omega^-j as exact Fraction sums, and
+    rho = Gamma(a + 1/2) / (Gamma(a) sqrt(omega)) = R sqrt(pi / omega) with
+    R = (2a)! / (4^a a! (a-1)!). E and rho O cancel by up to 4 digits for
+    attractive n = 3 (float Gamma values then miss by up to 1.1e-12), so rho
+    is taken to 60 digits from a 64-digit pi and the sum is rounded once.
+    """
+    a = m_abs + 1
+    sq = poly * poly
+    E = sum(c * math.prod(a + i for i in range(j)) / omega**j
+            for j, c in enumerate(sq.coeffs[0::2]))
+    O = sum(c * math.prod(Fraction(2 * a + 1 + 2 * i, 2) for i in range(j)) / omega**j
+            for j, c in enumerate(sq.coeffs[1::2]))
+    R = Fraction(math.factorial(2 * a), 4**a * math.factorial(a) * math.factorial(a - 1))
+    rho_sq, scale = R * R * _PI / omega, 10**60
+    rho = Fraction(math.isqrt(rho_sq.numerator * scale**2 // rho_sq.denominator), scale)
+    integral = Fraction(math.factorial(a - 1), 2) / omega**a * (E + rho * O)
+    return 1 / math.sqrt(integral)
+
+
+@pytest.mark.parametrize("Z", [1, -1, 2, -2])
+@pytest.mark.parametrize("m", list(range(11)))
 @pytest.mark.parametrize("n", [2, 3])
 def test_norm_moment_sums_exact(n, m, Z):
-    # sqrt(pi) enters only through rho = Gamma(a + 1/2) / (Gamma(a) sqrt(omega)),
-    # so E and O must equal their Fraction sums exactly
-    b = hooke.solve_frequencies(n, m, Z)[0]
+    # the built exact-coefficient state: its poly is the exact r-polynomial, and the
+    # shared Gauss rule's norm equals the closed-form Gamma-moment norm
+    (b,) = hooke.solve_frequencies(n, m, Z)
     w, poly = _r_poly(b)
-    a = m + 1
-    sq = poly * poly
-    E = sum(c * math.prod(a + i for i in range(j)) / w**j
-            for j, c in enumerate(sq.coeffs[0::2]))
-    O = sum(c * math.prod(Fraction(2 * a + 1 + 2 * i, 2) for i in range(j)) / w**j
-            for j, c in enumerate(sq.coeffs[1::2]))
-    E_int, O_int, L = hooke._moment_sums(a, w, poly)
-    assert (Fraction(E_int, L), Fraction(O_int, L)) == (E, O)
-    rho = math.gamma(a + 0.5) / (math.gamma(a) * math.sqrt(w))
-    integral = math.gamma(a) / (2 * float(w) ** a) * (float(E) + rho * float(O))
-    assert hooke._norm_constant(m, w, poly) == pytest.approx(1 / math.sqrt(integral), rel=1e-14)
+    wf = hooke.build_wavefunction(b)
+    assert wf.poly == poly and wf.roots is None
+    assert wf.norm == pytest.approx(_gamma_moment_norm(m, w, poly), rel=1e-14, abs=0.0)
 
 
-def _adaptive_norm(m_abs, omega, poly):
-    """The norm as an adaptive quadrature of the float polynomial (the route it replaced)."""
-    two_nu = 2 * float(m_abs) + 1
-    p = poly.as_floats()
-    rmax = math.sqrt((80.0 + 4.0 * (two_nu + 2 * max(p.degree, 0))) / omega)
-    val, _ = adaptive_quad(lambda r: math.exp(-omega * r * r) * r**two_nu * p(r) ** 2,
-                           0.0, rmax, tol_abs=1e-14, tol_rel=1e-13, limit=400,
-                           points=[1.0 / math.sqrt(omega)])
+def _adaptive_norm(wf):
+    """The state's norm as an adaptive quadrature of its own unnormalized u^2."""
+    bare = dataclasses.replace(wf, norm=1.0)
+    val, _ = adaptive_quad(bare.u_squared, 0.0, hooke._u2_range(wf), tol_abs=1e-14, tol_rel=1e-13,
+                           limit=400, points=[1.0 / math.sqrt(wf.omega)])
     return 1.0 / math.sqrt(val)
 
 
@@ -270,22 +286,35 @@ def test_norm_matches_adaptive_quadrature(m, Z):
     compared = 0
     for n in range(2, 15):
         for b in hooke.solve_frequencies(n, m, Z):
-            w, poly = _r_poly(b)
+            wf = hooke.build_wavefunction(b)
             try:
-                want = _adaptive_norm(m, b.omega_tilde, poly)
+                want = _adaptive_norm(wf)
             except QuadratureNonConvergence:
                 continue   # the adaptive route cannot certify some attractive branches
             compared += 1
-            assert hooke._norm_constant(m, w, poly) == pytest.approx(want, rel=1e-11, abs=0.0), \
-                (n, m, Z, b.omega_tilde)
+            assert wf.norm == pytest.approx(want, rel=1e-11, abs=0.0), (n, m, Z, b.omega_tilde)
     assert compared
 
 
 def test_norm_needs_integer_m():
     with pytest.raises(ValueError):
-        hooke._norm_constant(0.5, 1.0, Poly((1.0,)))
-    with pytest.raises(ValueError):
         hooke.build_wavefunction(hooke.oscillator_branch(1.5, 1.0))
+
+
+def test_certify_runs_on_coefficient_states_only(monkeypatch):
+    # the exact-coefficient states are certified against their compensated evaluation;
+    # a root-product state is evaluated from its roots and has nothing to certify
+    certified = []
+    certify = hooke._certify
+    monkeypatch.setattr(hooke, "_certify", lambda wf: certified.append(wf) or certify(wf))
+    built = [hooke.build_wavefunction(b)
+             for n in range(2, 7) for m in (0, 2) for Z in (1, -1, 2, -2)
+             for b in hooke.solve_frequencies(n, m, Z)]
+    built += [hooke.build_wavefunction(hooke.oscillator_branch(m, w))
+              for m in (0, 3) for w in (Fraction(1, 2), 2, 0.3)]
+    coefficient_form = [wf for wf in built if wf.roots is None]
+    assert coefficient_form and len(coefficient_form) < len(built)
+    assert [id(wf) for wf in certified] == [id(wf) for wf in coefficient_form]
 
 
 _VIRIAL_X, _VIRIAL_W = np.polynomial.legendre.leggauss(64)
@@ -552,6 +581,18 @@ def test_center_of_mass_state():
     assert total == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         hooke.CenterOfMassState(beta=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_center_of_mass_width_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="beta must be finite and positive"):
+        hooke.CenterOfMassState(beta=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_oscillator_branch_rejects_nonpositive_frequency(value):
+    with pytest.raises(ValueError, match="omega_tilde must be positive"):
+        hooke.oscillator_branch(0, value)
 
 
 def test_oscillator_branch():

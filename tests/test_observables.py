@@ -46,6 +46,19 @@ def test_default_grid_shape():
     assert np.all(np.diff(np.log(g)) > 0)
 
 
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_default_grid_rejects_nonpositive_omega(value):
+    with pytest.raises(ValueError, match="omega must be positive"):
+        observables.default_grid(value)
+
+
+@pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0, -1.0])
+def test_entropy_surface_rejects_bad_extent(extent):
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(2, 0, 1)[0])
+    with pytest.raises(ValueError, match="surface extent must be finite and positive"):
+        observables.entropy_surface(wf, extent=extent, points=5)
+
+
 def test_pair_correlation_normalized():
     wf = hooke.build_wavefunction(hooke.solve_frequencies(3, 1, -1)[0])
     pc = observables.pair_correlation(wf)

@@ -25,6 +25,8 @@ def mapped_sector():
 def test_params_validation():
     with pytest.raises(ValueError):
         qes.SexticParams(alpha=1.0, gamma=-2.0, m=0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        qes.SexticParams(alpha=1.0, gamma=math.nan, m=0)
     p = qes.SexticParams(alpha=-6, gamma=Fraction(4, 9), m=0)
     assert p.sqrt_gamma == Fraction(2, 3)
     assert p.A == Fraction(-4, 3)
@@ -208,6 +210,12 @@ def test_variational_ground_state(mapped_sector):
 def test_variational_unreachable_nodes(mapped_sector):
     with pytest.raises(qes.NodeCountUnreachable):
         qes.variational_state(mapped_sector, 6, 10)
+
+
+def test_variational_rejects_negative_node_target(mapped_sector):
+    # a negative index once selected the top Ritz level
+    with pytest.raises(ValueError, match="target_nodes must be >= 0"):
+        qes.variational_state(mapped_sector, -1, 16)
 
 
 def test_variational_bracket_excludes_minimum(mapped_sector):
