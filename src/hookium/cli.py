@@ -466,9 +466,12 @@ def apply_config(leaf_parser, args, cfg: dict, argv: list) -> None:
 
 _LEAF_PARSERS: dict = {}
 
-# argparse's own pattern admits only integers and decimals, so '--sextic-m -1/2'
-# would read '-1/2' as an unknown option; fractions are values here too
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+# argparse reads a separated value that starts with '-' as a flag unless it matches
+# this pattern (its own admits integers and decimals only). Every value form the parsers
+# take matches: numbers with exponents, p/q, inf and nan, alone, in comma lists or in
+# 'a:b' and 'a:b:c' specs. This is safe because hookium has no single-dash option but -h.
+_NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?(?:/\d+)?|inf(?:inity)?|nan)"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(?:[,:][+-]?{_NUMBER})*$", re.IGNORECASE)
 
 
 @functools.cache
@@ -576,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--sextic-m", default="-1/2")
     p_var.add_argument("--nodes", type=int, help="level index, equal to its node count")
     p_var.add_argument("--N", type=int, default=16,
-                       help="series truncation order; the Ritz basis has at most "
+                       help="series truncation order; the Ritz basis has "
                             "N//2 + 1 functions")
     p_var.add_argument("--bracket", default=None,
                        help="'lo:hi' energy range the level must lie in")

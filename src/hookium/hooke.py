@@ -278,8 +278,8 @@ def _exact_branches(n: int, m, Z) -> list[QuantizationBranch]:
 
 def oscillator_branch(m, omega_tilde) -> QuantizationBranch:
     """Coulomb-free nodeless state: n = 1, any frequency, Gaussian profile."""
-    if not omega_tilde > 0:
-        raise ValueError("omega_tilde must be positive")
+    if not 0 < omega_tilde < math.inf:
+        raise ValueError(f"omega_tilde must be positive and finite, got {omega_tilde!r}")
     om = Fraction(omega_tilde) if isinstance(omega_tilde, (int, Fraction)) else None
     return QuantizationBranch(n=1, m=m, Z=0.0, kappa=0.0, omega_tilde=float(omega_tilde),
                               kappa_sq_exact=None, omega_exact=om, chamber=0)

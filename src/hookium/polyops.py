@@ -164,9 +164,6 @@ class Poly:
         """Exact conversion; float coefficients become their binary rationals."""
         return Poly([Fraction(c) for c in self.coeffs])
 
-    def as_floats(self) -> "Poly":
-        return Poly([float(c) for c in self.coeffs])
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 

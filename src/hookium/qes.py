@@ -8,7 +8,8 @@ is quasi-exactly solvable: with alpha pinned by qes_condition, a finite
 polynomial sector of eigenstates exists in closed form. The substitution
 x^2 = r turns H into the radial trap equation, giving an exact dictionary
 between the two problems. Levels outside the polynomial sector come from
-Rayleigh-Ritz on the basis psi0 x^(2j), whose matrices are Gamma moments.
+Rayleigh-Ritz on psi0 q_j(x^2), with q_j orthonormal on one Gauss rule for
+psi0^2 dx; the same rule gives the trial state's norm and residual.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hooke import RadialWavefunction, _is_rational, recurrence_coefficients
+from .integrate import _GL_W, _GL_X
 from .polyops import Poly, exact_sqrt, real_roots, sturm_count
 from .series import PowerSeries
 
@@ -71,8 +73,11 @@ class SexticParams:
     m: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        for name in ("alpha", "m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def sqrt_gamma(self):
@@ -95,8 +100,8 @@ def qes_condition(n: int, m, gamma) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     sg = _sqrt_exact_or_float(gamma)
     return -sg * (2 * n + 2 * m + 5)
 
@@ -260,6 +265,18 @@ def sextic_residual(p: SexticParams, E: float, sw: SexticWavefunction, grid=None
     return float(np.max(np.abs(hpsi - E * psi)) / np.max(np.abs(psi)))
 
 
+def _in_y(series: PowerSeries) -> list:
+    """Coefficients q_0..q_d of an even series read as a polynomial in y = x^2 ([] if zero).
+
+    The coefficients keep their type, so an exact series gives an exact polynomial.
+    """
+    if any(c and (e < 0 or e % 2) for e, c in zip(series.exponents(), series.coeffs)):
+        raise ValueError("the series must hold nonnegative even powers of x only")
+    if series.is_zero():
+        return []
+    return [series.coefficient(e) for e in range(0, int(series.max_exponent) + 1, 2)]
+
+
 def sextic_state_to_hooke(p: SexticParams, E: float, series: PowerSeries) -> RadialWavefunction:
     """Carry psi0 * series through x^2 = r into a radial trap profile.
 
@@ -268,19 +285,15 @@ def sextic_state_to_hooke(p: SexticParams, E: float, series: PowerSeries) -> Rad
     residual checks do not care about.
     """
     eq = map_to_hooke(p, E)
-    coeffs = [float(series.coefficient(2 * j)) for j in range(int(series.max_exponent) // 2 + 1)]
+    coeffs = [float(c) for c in _in_y(series)]
     return RadialWavefunction(m_abs=eq.m_tilde, omega=eq.omega_tilde, Z=eq.Z,
                               eps_rel=eq.eps_rel, poly=Poly(coeffs), norm=1.0, branch=None)
 
 
 def hooke_state_to_sextic(wf: RadialWavefunction) -> SexticWavefunction:
     """Carry a radial trap profile through r = x^2 into a sextic-side function."""
-    coeffs = []
-    for c in wf.poly.coeffs:
-        coeffs.append(float(c))
-        coeffs.append(0.0)
-    if coeffs:
-        coeffs.pop()
+    coeffs = [0.0] * max(2 * len(wf.poly.coeffs) - 1, 0)
+    coeffs[::2] = [float(c) for c in wf.poly.coeffs]
     return SexticWavefunction(gamma=4.0 * wf.omega * wf.omega,
                               a=2.0 * float(wf.m_abs) + 0.5,
                               s=Poly(coeffs), norm=wf.norm)
@@ -296,17 +309,15 @@ def node_count(series: PowerSeries, domain=(0.0, math.inf)) -> int:
     lo, hi = domain
     if lo < 0:
         raise ValueError("node_count needs lo >= 0")
-    if series.is_zero():
+    q = _in_y(series)
+    if not q:
         return 0
-    if any(c and (e < 0 or e % 2) for e, c in zip(series.exponents(), series.coeffs)):
-        raise ValueError("node_count needs a series in nonnegative even powers of x")
-    q = Poly([series.coefficient(e) for e in range(0, int(series.max_exponent) + 1, 2)])
-    return sturm_count(q, Fraction(lo) ** 2, hi if hi == math.inf else Fraction(hi) ** 2)
+    return sturm_count(Poly(q), Fraction(lo) ** 2, hi if hi == math.inf else Fraction(hi) ** 2)
 
 
 @dataclass(frozen=True)
 class VariationalState:
-    """The target_nodes-th Rayleigh-Ritz level and the eigen series evaluated there.
+    """The target_nodes-th Rayleigh-Ritz level on N//2 + 1 functions and the eigen series there.
 
     residual_norm is R(E_star) = ||(H - E_star) psi||^2 / ||psi||^2 for that
     series truncated at x^N; node_count counts its zeros on (0, x_max).
@@ -324,32 +335,35 @@ def _x_max(p: SexticParams) -> float:
     return (36.0 * math.log(10.0) / math.sqrt(p.gamma)) ** 0.25 + 1.0
 
 
-def _moments(p: SexticParams, count: int) -> np.ndarray:
-    """mu_k = int_0^inf psi0^2 x^k dx for k = 0..count-1.
+def _rule(p: SexticParams, degree: int):
+    """Nodes y = x^2 and weights of psi0^2 dx = x^(2m+2) exp(-sqrt(gamma) x^4/2) dx.
 
-    With psi0^2 = x^(2m+2) exp(-b x^4), b = sqrt(gamma)/2, this is the Gamma
-    moment Gamma(q) / (4 b^q), q = (2m + 3 + k)/4.
+    The 48-point Gauss-Legendre rule runs on 2 + degree // 32 equal panels over
+    [0, x_end], where psi0^2 y^degree has fallen e^-60 below its peak, so the
+    weighted sums hold polynomials in y of that degree. x^(2m+2) is smooth at
+    x = 0 when 2m is an integer (every dictionary image of an integer trap m);
+    otherwise the first panel is split into decades toward 0, until the piece
+    left next to 0 holds a 1e-17 share of it.
     """
-    from scipy import special   # imported where used: a cold `import hookium` skips SciPy
-
-    q = (2.0 * float(p.m) + 3.0 + np.arange(count)) / 4.0
-    if q[0] <= 0:
+    m, sg = float(p.m), float(p.sqrt_gamma)
+    if m <= -1.5:
         raise ValueError("psi0^2 is not integrable at x = 0 for m <= -3/2")
-    b = float(p.sqrt_gamma) / 2.0
-    return special.gamma(q) / (4.0 * b**q)
-
-
-def _inner(p: SexticParams, f: PowerSeries, g: PowerSeries) -> float:
-    """<f, g> = int_0^inf psi0^2 f g dx for polynomial series f, g (zero if either is)."""
-    if f.is_zero() or g.is_zero():
-        return 0.0
-    fg = np.convolve([float(c) for c in f.coeffs], [float(c) for c in g.coeffs])
-    lo = int(f.base + g.base)
-    return float(fg @ _moments(p, lo + fg.size)[lo:])
+    # in t = sqrt(gamma) x^4 / 2 the integrand is t^c e^-t with c = (m + 1 + degree)/2, peaked
+    # at t = c; at t = 2c + 120 it is e^-60 below the peak or less, as ln(2 + 2u) <= 1 + u
+    t_end = m + 1.0 + degree + 120.0
+    panels = 2 + degree // 32
+    edges = np.linspace(0.0, (2.0 * t_end / sg) ** 0.25, panels + 1)
+    if (2.0 * m) % 1:   # 10^-300 stays a normal float; the 1e-17 share holds for m >= -1.44
+        decades = min(math.ceil(17.0 / (2.0 * m + 3.0)), 300)
+        edges = np.concatenate([[0.0], edges[1] * 10.0 ** -np.arange(decades, 0, -1.0), edges[1:]])
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (edges[:-1, None] + half * (1.0 + _GL_X)).ravel()
+    return x * x, (half * _GL_W).ravel() * x ** (2.0 * m + 2.0) * np.exp(-0.5 * sg * x**4)
 
 
 def _trial_state(p: SexticParams, E, N: int):
-    """Trial series u, residual series (H - E) u and ||psi||^2, psi = psi0 * u.
+    """Trial series u, residual series (H - E) u, and (<psi|psi>, <psi|(H - E)|psi>,
+    ||(H - E) psi||^2) with psi = psi0 * u, from u and (H - E) u evaluated once on _rule.
 
     u is the eigen series through x^(2K), K = N // 2. The recurrence run two
     terms further gives c_(K+1), c_(K+2); the terms cut off leave, with 2m~ = m + 1/2,
@@ -364,64 +378,46 @@ def _trial_state(p: SexticParams, E, N: int):
     two_m = Fraction(p.m) + Fraction(1, 2)  # exact; the coefficients' type decides the arithmetic
     resid = PowerSeries(2 * K, [2 * (K + 1) * (K + 1 + two_m) * c1, 0,
                                 2 * (K + 2) * (K + 2 + two_m) * c2 + E * c1])
-    return u, resid, _inner(p, u, u)
-
-
-def _residual_functional(p: SexticParams, E: float, N: int):
-    """R(E) = ||(H - E) psi||^2 / ||psi||^2 with psi = psi0 * truncated eigen series."""
-    u, resid, norm = _trial_state(p, E, N)
-    return _inner(p, resid, resid) / norm, u, norm
+    y, w = _rule(p, 2 * K + 2)
+    uy, ry = (np.polyval([float(c) for c in reversed(_in_y(s))], y) for s in (u, resid))
+    return u, resid, (float((w * uy) @ uy), float((w * uy) @ ry), float((w * ry) @ ry))
 
 
 def rayleigh_quotient(p: SexticParams, E: float, N: int) -> float:
     """<psi_E|(H - E)|psi_E> / <psi_E|psi_E> for the truncated eigen series at E."""
-    u, resid, norm = _trial_state(p, E, N)
-    return _inner(p, u, resid) / norm
-
-
-# Cholesky pivots of the unit-diagonal Gram matrix (each basis function's squared
-# distance from the span of the earlier ones) shrink about 5x per function down
-# to ~1e-11, where rounding in the Gamma moments takes over. Past that point the
-# generalized eigenvalues go spurious: cut only where S stops being positive
-# definite (15-18 functions for m in {-1/2, 0, 1}), 89 of the 1,890 sector-grid
-# searches returned levels off by up to 58 and 14 raised LinAlgError. Keeping
-# pivots >= 1e-10 leaves 14 functions at m = -1/2 and 0, 13 at m = 1, 11 at m = 10.
-_RITZ_PIVOT_FLOOR = 1e-10
+    _, _, (norm, shifted, _) = _trial_state(p, E, N)
+    return shifted / norm
 
 
 def _ritz_levels(p: SexticParams, N: int) -> np.ndarray:
-    """Rayleigh-Ritz values of H on the basis psi0 x^(2j), j = 0..N//2, ascending.
+    """Rayleigh-Ritz values of H on psi0 q_j(x^2), j = 0..N//2, ascending.
 
-    With the moment vector mu of _moments, S_ij = <x^(2i), x^(2j)> = mu_(2i+2j) and,
-    as H_red x^(2j) = -j (2j+1+2m) x^(2j-2) + (2j sqrt(gamma) + A) x^(2j+2),
-    H_ij = <x^(2i), H_red x^(2j)> = -j (2j+1+2m) mu_(2i+2j-2) + (2j sqrt(gamma) + A) mu_(2i+2j+2).
+    The q_j are polynomials in y = x^2, orthonormal on _rule by the discretized
+    Stieltjes procedure (Gautschi 2004): q_0 is constant and b_(j+1) q_(j+1) =
+    (y - a_j) q_j - b_j q_(j-1), with a_j = <y q_j, q_j> and b_(j+1) the norm of
+    the right side; its derivative carries q_j' = dq_j/dy along. They span the
+    monomials x^(2j), so S = I, and as H_red = -(1/(2 psi0^2)) d/dx psi0^2 d/dx
+    + A x^2, integrating by parts gives H_ij = 2 <y q_i', q_j'> + A <y q_i, q_j>.
     The k-th value bounds the k-th level from above and is exact once the basis
-    holds the sector state (Hylleraas-Undheim, MacDonald). S is scaled to unit
-    diagonal, and the basis stops at the first Cholesky pivot of S below
-    _RITZ_PIVOT_FLOOR, so a large N can return fewer than N//2 + 1 values.
+    holds the sector state (Hylleraas-Undheim, MacDonald).
     """
-    from scipy import linalg
-
-    sg, A, m = float(p.sqrt_gamma), float(p.A), float(p.m)
     size = N // 2 + 1
-    j = np.arange(size)
-    mu = _moments(p, 4 * size - 1)
-    k = 2 * (j[:, None] + j)
-    S = mu[k]
-    # the x^(2j-2) term vanishes at j = 0, where mu_0 only stands in for mu_(-2)
-    H = -j * (2 * j + 1 + 2 * m) * mu[np.maximum(k - 2, 0)] + (2 * j * sg + A) * mu[k + 2]
-    scale = 1.0 / np.sqrt(np.diag(S))
-    S, H = S * np.outer(scale, scale), H * np.outer(scale, scale)
-    L, info = linalg.lapack.dpotrf(S, lower=1)  # info > 0: the block of order info is not PD
-    pivots = np.diag(L)[:info - 1 if info else size] ** 2
-    small = np.flatnonzero(pivots < _RITZ_PIVOT_FLOOR)
-    keep = small[0] if small.size else pivots.size
-    return linalg.eigh(H[:keep, :keep], S[:keep, :keep], eigvals_only=True)
+    y, w = _rule(p, 2 * size)
+    q, dq = np.zeros((size, y.size)), np.zeros((size, y.size))
+    q[0], b = 1.0 / math.sqrt(w.sum()), 0.0
+    for j in range(size - 1):   # at j = 0, b = 0 drops the q_(j-1) terms
+        a = (w * y * q[j]) @ q[j]
+        v = (y - a) * q[j] - b * q[j - 1]
+        dv = q[j] + (y - a) * dq[j] - b * dq[j - 1]
+        b = math.sqrt((w * v) @ v)
+        q[j + 1], dq[j + 1] = v / b, dv / b
+    wy = w * y
+    return np.linalg.eigvalsh(2.0 * (dq * wy) @ dq.T + float(p.A) * (q * wy) @ q.T)
 
 
 def variational_state(p: SexticParams, target_nodes: int, N: int,
                       E_bracket: tuple | None = None, *, scan_points=None) -> VariationalState:
-    """The level with target_nodes nodes, as a Rayleigh-Ritz value on <= N//2 + 1 functions.
+    """The level with target_nodes nodes, as a Rayleigh-Ritz value on N//2 + 1 functions.
 
     E_star is the target_nodes-th value of _ritz_levels(p, N); the eigen series
     through x^N at E_star must have target_nodes zeros on (0, x_max). A given
@@ -442,11 +438,11 @@ def variational_state(p: SexticParams, target_nodes: int, N: int,
     E_star = float(levels[target_nodes])
     if not lo <= E_star <= hi:
         raise BracketError(f"level {target_nodes} at E={E_star!r} lies outside [{lo!r}, {hi!r}]")
-    r_star, u_star, _ = _residual_functional(p, E_star, N)
+    u_star, _, (norm, _, resid2) = _trial_state(p, E_star, N)
     nodes = node_count(u_star, (0.0, _x_max(p)))
     if nodes != target_nodes:
         raise NodeCountUnreachable(
             f"eigen series at Ritz level {target_nodes}, E={E_star!r}, has {nodes} nodes "
             f"at truncation N={N}")
     return VariationalState(E_star=E_star, series=u_star,
-                            node_count=nodes, residual_norm=r_star)
+                            node_count=nodes, residual_norm=resid2 / norm)

@@ -96,7 +96,7 @@ def test_cli_solves_only_the_chambers_it_reads(capsys, monkeypatch):
 
 def test_cli_import_skips_scipy_optimize_and_integrate():
     # SciPy is imported where it is used (the width fit, the adaptive oracle, Bessel
-    # and Gamma values, the Ritz eigenproblem); a cold start loads none of it
+    # values); a cold start loads none of it
     code = ("import sys, hookium.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -362,6 +362,30 @@ def test_numeric_flags_take_fractions(capsys):
     code, _, err = run(capsys, "solve", "--n", "2", "--Z", "1/0")
     assert code == 2
     assert "bad number list" in err
+
+
+@pytest.mark.parametrize("argv, joined", [
+    ("solve --n 2 --Z -1,1", "solve --n 2 --Z=-1,1"),
+    ("solve --n 2 --m -1:1", "solve --n 2 --m=-1:1"),
+    ("qes variational --nodes 0 --bracket -3:-1", "qes variational --nodes 0 --bracket=-3:-1"),
+])
+def test_separated_negative_values_are_values(capsys, argv, joined):
+    # a separated value that starts with '-' is a value in every form, not a flag
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert (code, out) == run(capsys, *joined.split())[:2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("density --n 2 --Z 1 --beta -inf", "beta must be finite and positive"),
+    ("density --n 2 --Z 1 --grid -inf:1:5", "min and max must be finite"),
+    ("qes variational --nodes 1 --sextic-m -inf", "not a finite number"),
+    ("qes variational --nodes 1 --bracket -nan:1", "bad bracket"),
+])
+def test_separated_negative_nonfinite_values_reach_domain_checks(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

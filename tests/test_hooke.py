@@ -589,7 +589,7 @@ def test_center_of_mass_width_must_be_finite_and_positive(value):
         hooke.CenterOfMassState(beta=value)
 
 
-@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
 def test_oscillator_branch_rejects_nonpositive_frequency(value):
     with pytest.raises(ValueError, match="omega_tilde must be positive"):
         hooke.oscillator_branch(0, value)

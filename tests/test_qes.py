@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,13 @@ def test_params_validation():
         qes.SexticParams(alpha=1.0, gamma=-2.0, m=0)
     with pytest.raises(ValueError, match="gamma must be positive"):
         qes.SexticParams(alpha=1.0, gamma=math.nan, m=0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        qes.SexticParams(alpha=1.0, gamma=math.inf, m=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            qes.SexticParams(alpha=bad, gamma=1.0, m=0)
+        with pytest.raises(ValueError, match="m must be finite"):
+            qes.SexticParams(alpha=1.0, gamma=1.0, m=bad)
     p = qes.SexticParams(alpha=-6, gamma=Fraction(4, 9), m=0)
     assert p.sqrt_gamma == Fraction(2, 3)
     assert p.A == Fraction(-4, 3)
@@ -131,10 +142,12 @@ def test_node_count_domain():
 
 
 def test_residual_functional_discriminates(mapped_sector):
-    r_exact, _, _ = qes._residual_functional(mapped_sector, 2.0, 12)
-    r_off, _, _ = qes._residual_functional(mapped_sector, 2.3, 12)
-    assert r_exact <= 1e-12
-    assert r_off > 1e-6
+    def residual_functional(E):   # R(E) = ||(H - E) psi||^2 / ||psi||^2
+        _, _, (norm, _, resid2) = qes._trial_state(mapped_sector, E, 12)
+        return resid2 / norm
+
+    assert residual_functional(2.0) <= 1e-12
+    assert residual_functional(2.3) > 1e-6
 
 
 def _quadrature_inner(p, f, g):
@@ -157,20 +170,34 @@ def _operator_residual(p, E, u):
     return PowerSeries(tail.base - 2, tail.coeffs).scaled(-0.5)
 
 
+def _gamma_inner(p, f, g):
+    """int_0^inf psi0^2 f g dx for polynomial series f, g, summed over the Gamma moments
+    int_0^inf x^(2m+2+k) exp(-b x^4) dx = Gamma(q) / (4 b^q), q = (2m+3+k)/4, b = sqrt(gamma)/2."""
+    if f.is_zero() or g.is_zero():
+        return 0.0
+    fg = np.convolve([float(c) for c in f.coeffs], [float(c) for c in g.coeffs])
+    b = float(p.sqrt_gamma) / 2.0
+    q = (2.0 * float(p.m) + 3.0 + float(f.base + g.base) + np.arange(fg.size)) / 4.0
+    return float(fg @ (special.gamma(q) / (4.0 * b**q)))
+
+
 @pytest.mark.parametrize("n", (2, 4, 6))
 @pytest.mark.parametrize("m", (Fraction(-1, 2), Fraction(0), Fraction(1)))
 @pytest.mark.parametrize("gamma", (Fraction(1, 4), Fraction(1), Fraction(4), 0.3))
 def test_gamma_moments_match_quadrature(gamma, m, n):
+    # the Gauss rule's inner products, and the closed-form Gamma-moment sums that
+    # the oracle _per_entry_ritz uses, against adaptive quadrature
     p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
     levels = qes.sector_energies(p)
     # below the ground level, between the two lowest levels, above the top one
     for E in (levels[0] - 0.5, (levels[0] + levels[1]) / 2, levels[-1] + 0.5):
         for N in (12, 16):
-            u, _, norm = qes._trial_state(p, E, N)
+            u, _, (norm, _, resid2) = qes._trial_state(p, E, N)
             want_resid = _operator_residual(p, E, u)
             want_norm = _quadrature_inner(p, u, u)
             assert norm == pytest.approx(want_norm, rel=1e-12, abs=0)
-            R = qes._residual_functional(p, E, N)[0]
+            assert _gamma_inner(p, u, u) == pytest.approx(want_norm, rel=1e-12, abs=0)
+            R = resid2 / norm
             want_R = _quadrature_inner(p, want_resid, want_resid) / want_norm
             assert R == pytest.approx(want_R, rel=1e-9, abs=1e-20)
             rq = qes.rayleigh_quotient(p, E, N)
@@ -179,10 +206,9 @@ def test_gamma_moments_match_quadrature(gamma, m, n):
 
 
 def test_exact_level_residual_vanishes(exact_sector):
-    u, resid, norm = qes._trial_state(exact_sector, Fraction(2), 12)
+    u, resid, (norm, shifted, resid2) = qes._trial_state(exact_sector, Fraction(2), 12)
     assert resid.is_zero()
-    assert norm > 0
-    assert qes._residual_functional(exact_sector, Fraction(2), 12)[0] == 0.0
+    assert norm > 0 and shifted == resid2 == 0.0
     assert qes.rayleigh_quotient(exact_sector, Fraction(2), 12) == 0.0
 
 
@@ -239,29 +265,28 @@ def test_variational_finds_every_sector_level(m, n):
                 assert vs.node_count == k, (gamma, k, N)
 
 
+# Cholesky pivots of the unit-diagonal monomial Gram matrix shrink about 5x per
+# function down to ~1e-11, where rounding in the Gamma moments takes over; past
+# that point the generalized eigenvalues go spurious, so the oracle stops its basis
+# at the first pivot below this floor (14 functions at m = -1/2 and 0, 13 at m = 1)
+_ORACLE_PIVOT_FLOOR = 1e-10
+
+
 def _per_entry_ritz(p, N):
-    """Ritz values with every matrix entry its own Gamma-moment sum over a product series."""
+    """Ritz values on the monomial basis psi0 x^(2j), every matrix entry its own
+    Gamma-moment sum over a product series."""
     sg, A, m = float(p.sqrt_gamma), float(p.A), float(p.m)
-    b = sg / 2.0
-
-    def inner(f, g):
-        if f.is_zero() or g.is_zero():
-            return 0.0
-        fg = np.convolve([float(c) for c in f.coeffs], [float(c) for c in g.coeffs])
-        q = (2.0 * m + 3.0 + float(f.base + g.base) + np.arange(fg.size)) / 4.0
-        return float(fg @ (special.gamma(q) / (4.0 * b**q)))
-
     size = N // 2 + 1
     basis = [PowerSeries(2 * j, [1]) for j in range(size)]
     images = [PowerSeries(2 * j - 2, [-j * (2 * j + 1 + 2 * m), 0, 0, 0, 2 * j * sg + A])
               for j in range(size)]
-    S = np.array([[inner(f, g) for g in basis] for f in basis])
-    H = np.array([[inner(f, h) for h in images] for f in basis])
+    S = np.array([[_gamma_inner(p, f, g) for g in basis] for f in basis])
+    H = np.array([[_gamma_inner(p, f, h) for h in images] for f in basis])
     scale = 1.0 / np.sqrt(np.diag(S))
     S, H = S * np.outer(scale, scale), H * np.outer(scale, scale)
     L, info = linalg.lapack.dpotrf(S, lower=1)
     pivots = np.diag(L)[:info - 1 if info else size] ** 2
-    small = np.flatnonzero(pivots < qes._RITZ_PIVOT_FLOOR)
+    small = np.flatnonzero(pivots < _ORACLE_PIVOT_FLOOR)
     keep = small[0] if small.size else pivots.size
     return linalg.eigh(H[:keep, :keep], S[:keep, :keep], eigvals_only=True)
 
@@ -287,11 +312,39 @@ def test_variational_off_sector_converges_from_above(k, level):
 
 
 @pytest.mark.parametrize("N", (32, 40))
-def test_variational_large_truncation_caps_basis(mapped_sector, N):
-    assert len(qes._ritz_levels(mapped_sector, N)) < N // 2 + 1
+def test_variational_large_truncation_keeps_full_basis(mapped_sector, N):
+    assert len(qes._ritz_levels(mapped_sector, N)) == N // 2 + 1
     vs = qes.variational_state(mapped_sector, 1, N)
     assert abs(vs.E_star - 2.0) <= 1e-8
     assert vs.node_count == 1
+
+
+@pytest.mark.parametrize("m", (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(10), 0.3))
+def test_ritz_levels_match_sector_energies(m):
+    # every exact sector level is a Ritz value once the basis holds the sector
+    # state; the error is relative to the sector's largest |level|, since some are 0
+    for gamma in SECTOR_GAMMAS + (0.3,):
+        for n in (2, 4, 6, 8):
+            p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
+            levels = qes.sector_energies(p)
+            scale = max(abs(E) for E in levels)
+            for N in (12, 16, 24, 40, 60):
+                ritz = qes._ritz_levels(p, N)
+                for k, E in enumerate(levels):
+                    assert abs(ritz[k] - E) <= 1e-13 * scale, (gamma, n, N, k)
+
+
+def test_variational_search_loads_no_scipy():
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from hookium import qes; "
+            "vs = qes.variational_state(qes.SexticParams(alpha=-8.0, gamma=1.0, m=-0.5), 1, 16); "
+            "assert vs.node_count == 1; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_dictionary_round_trip():
