@@ -195,6 +195,9 @@ def cmd_density(args) -> int:
     tol_rel = tol_abs * 1e3
     if not (0 < tol_abs and tol_rel < math.inf):
         raise ConfigError(f"--quad-tol must be positive with 1000x it finite, got {tol_abs!r}")
+    if args.beta is not None and args.method != "quadrature":
+        raise ConfigError(f"--beta applies to --method quadrature only; --method {args.method} "
+                          f"uses the catalog width omega_tilde")
     if args.case:
         try:
             case = observables.CATALOG[args.case]
@@ -513,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--angular", choices=("bessel", "numeric"), default="bessel",
                            help="inner angular integral: Bessel identity or direct quadrature")
     p_density.add_argument("--beta", type=float, default=None,
-                           help="center-of-mass Gaussian width override")
+                           help="center-of-mass Gaussian width (--method quadrature only)")
     p_density.add_argument("--no-fit", action="store_true",
                            help="skip the width fit in --method both")
     p_density.add_argument("--grid", default=None, help="'min:max:points'")

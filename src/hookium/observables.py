@@ -342,9 +342,10 @@ def compare_density_routes(case, grid=None, *, fit_width: bool = True,
                            tol_rel: float = 1e-12) -> DensityComparison:
     """Evaluate both density routes for a cataloged case and measure agreement.
 
-    Deviation is the max relative difference where the density is at least
-    1e-8 of its peak. With fit_width the CM width is fitted to the closed
-    form; otherwise beta = omega_tilde (the width the catalog profiles carry).
+    The routes are compared at beta = omega_tilde, the width the catalog
+    profiles carry; the deviation is the max relative difference where the
+    density is at least 1e-8 of its peak. fit_width adds the CM width fitted
+    to the closed form as its own report (fit), with no further convolution.
     tol_abs and tol_rel are the convolution's budget, as in density_quadrature.
     """
     if isinstance(case, str):
@@ -356,19 +357,14 @@ def compare_density_routes(case, grid=None, *, fit_width: bool = True,
     closed = closed_form_density(case, grid)
     scale = closed.scale_applied
 
-    fit = None
-    if fit_width:
-        fit = fit_cm_width(wf, lambda r: case.raw(r) * scale)
-        beta = fit.beta
-    else:
-        beta = wf.omega
-    quad_vals = _convolve(wf, beta, grid, angular, tol_abs, tol_rel)
+    fit = fit_cm_width(wf, lambda r: case.raw(r) * scale) if fit_width else None
+    quad_vals = _convolve(wf, wf.omega, grid, angular, tol_abs, tol_rel)
     peak = quad_vals.max()
     mask = quad_vals >= 1e-8 * peak
     dev = float(np.max(np.abs(quad_vals[mask] - closed.values[mask]) / quad_vals[mask]))
     return DensityComparison(case_id=case.case_id, grid=grid,
                              closed=closed, quadrature_values=quad_vals,
-                             max_rel_deviation=dev, fit=fit, beta_used=beta)
+                             max_rel_deviation=dev, fit=fit, beta_used=wf.omega)
 
 
 @dataclass(frozen=True)

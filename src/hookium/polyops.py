@@ -5,13 +5,7 @@ quantization polynomials come out exact; the same class doubles as the value
 type for series coefficients when a coupling is carried as a formal symbol.
 The root tools work on one private integer form, p = P / D with P a list of
 ints, so Sturm chains, rational-root tests and Newton polish stay exact without
-Fraction arithmetic.
-
-Root counts first try an exact certificate: the signs of P at rational points
-between p's companion roots. When they change deg p times, p has deg p simple
-real roots, one per change, and the count is read off those signs. Only when
-they do not (complex or repeated roots, a root lost to float coefficients, a
-sign that is exactly 0) is the Sturm chain built.
+Fraction arithmetic. Every root count comes from the primitive Sturm chain of P.
 """
 
 from __future__ import annotations
@@ -299,50 +293,13 @@ def _variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _interlaced_count(p: Poly, P, lo, hi) -> int | None:
-    """Roots of p in (lo, hi] from exact signs between its companion roots, or None.
-
-    The companion roots come from p's float coefficients, as in real_roots; any
-    complex or non-finite one gives None at once. The test points are the
-    midpoints of consecutive sorted roots plus the finite ends, and their signs
-    are those of P there, exactly. If the signs from -inf to +inf are all
-    nonzero and change deg p times, p has deg p simple real roots, one inside
-    each change, so the changes between lo and hi count the roots in (lo, hi].
-    Otherwise (a zero sign, a repeated or a lost root) the answer is None.
-    """
-    try:
-        coeffs = [float(c) for c in reversed(p.coeffs)]
-    except OverflowError:
-        return None
-    with np.errstate(all="ignore"):
-        try:
-            roots = np.roots(coeffs)
-        except np.linalg.LinAlgError:   # the companion matrix overflowed
-            return None
-    if np.any(np.imag(roots)) or not np.all(np.isfinite(roots)):
-        return None
-    roots = np.sort(np.real(roots))
-    points = sorted([Fraction(float(x)) for x in 0.5 * roots[:-1] + 0.5 * roots[1:]]
-                    + [x for x in (lo, hi) if x not in (math.inf, -math.inf)])
-    degree = len(P) - 1
-    top = _sign(P[-1])
-    signs = ([top * (-1) ** degree]
-             + [_sign(_scaled_value(P, x.numerator, x.denominator)) for x in points]
-             + [top])
-    if 0 in signs or sum(a != b for a, b in zip(signs, signs[1:])) != degree:
-        return None
-    inside = [s for x, s in zip([-math.inf, *points, math.inf], signs) if lo <= x <= hi]
-    return sum(a != b for a, b in zip(inside, inside[1:]))
-
-
 def sturm_count(p: Poly, lo, hi) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
     Endpoints may be +-math.inf; finite endpoints are evaluated exactly when
     given as rationals. The count ignores multiplicity; lo > hi raises
-    ValueError. When the exact signs of p between its companion roots show
-    deg p simple real roots, the count is read off them; otherwise it comes
-    from a primitive Sturm chain. Both give the same count.
+    ValueError. It is the drop in sign variations of p's primitive Sturm chain
+    from lo to hi.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -353,11 +310,8 @@ def sturm_count(p: Poly, lo, hi) -> int:
     P, _ = _integer_form(p)
     if len(P) == 1:
         return 0
-    count = _interlaced_count(p, P, lo_x, hi_x)
-    if count is None:
-        chain = _sturm_chain(P)
-        count = _variations(chain, lo_x) - _variations(chain, hi_x)
-    return count
+    chain = _sturm_chain(P)
+    return _variations(chain, lo_x) - _variations(chain, hi_x)
 
 
 _POLISH_STEPS = 4   # exact Newton steps per float root

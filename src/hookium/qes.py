@@ -343,7 +343,9 @@ def _rule(p: SexticParams, degree: int):
     weighted sums hold polynomials in y of that degree. x^(2m+2) is smooth at
     x = 0 when 2m is an integer (every dictionary image of an integer trap m);
     otherwise the first panel is split into decades toward 0, until the piece
-    left next to 0 holds a 1e-17 share of it.
+    left next to 0 holds a 1e-17 share of it. That takes ceil(17 / (2m + 3))
+    decades; past 300 (2m + 3 < 17/300) the edges would leave the normal
+    floats, so such an m raises ValueError.
     """
     m, sg = float(p.m), float(p.sqrt_gamma)
     if m <= -1.5:
@@ -353,8 +355,11 @@ def _rule(p: SexticParams, degree: int):
     t_end = m + 1.0 + degree + 120.0
     panels = 2 + degree // 32
     edges = np.linspace(0.0, (2.0 * t_end / sg) ** 0.25, panels + 1)
-    if (2.0 * m) % 1:   # 10^-300 stays a normal float; the 1e-17 share holds for m >= -1.44
-        decades = min(math.ceil(17.0 / (2.0 * m + 3.0)), 300)
+    if (2.0 * m) % 1:
+        decades = math.ceil(17.0 / (2.0 * m + 3.0))
+        if decades > 300:   # 10^-300 is the last decade edge that stays a normal float
+            raise ValueError(f"m = {m!r} is too close to -3/2: a non-half-integer m "
+                             f"needs 2m + 3 >= 17/300 (m >= -1.47166...)")
         edges = np.concatenate([[0.0], edges[1] * 10.0 ** -np.arange(decades, 0, -1.0), edges[1:]])
     half = 0.5 * np.diff(edges)[:, None]
     x = (edges[:-1, None] + half * (1.0 + _GL_X)).ravel()

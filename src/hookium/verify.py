@@ -257,8 +257,7 @@ def _check_operator_linearity():
 
 def _check_sturm_nodes():
     from .polyops import sturm_count
-    # (x-2)(x-3) is certified by the signs between its roots; the double root of
-    # (x-2)^2 (x-3) defeats that certificate, so its count comes from the chain
+    # distinct roots: the double root of (x-2)^2 (x-3) counts once, as in (x-2)(x-3)
     simple = Poly([Fraction(6), Fraction(-5), Fraction(1)])
     double = simple * Poly([Fraction(-2), Fraction(1)])
     ok = all(sturm_count(p, 0, 10) == 2 and sturm_count(p, 0, Fraction(5, 2)) == 1

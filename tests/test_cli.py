@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hookium import cli, hooke, serialize
+from hookium import cli, hooke, observables, serialize
 
 
 def run(capsys, *argv):
@@ -218,6 +220,32 @@ def test_density_both_routes(capsys):
     assert float(lines["beta_used"]) == pytest.approx(0.5)
 
 
+def test_entropy_surface(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOOKIUM_OUT_DIR", str(tmp_path))
+    argv = ("entropy", "--n", "2", "--m", "0", "--Z", "-1", "--surface", "--surface-points", "5")
+    wf = hooke.build_wavefunction(cli._resolve_branch(2, 0, -1.0, None, 0))
+    surf = observables.entropy_surface(wf, points=5)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    extent = serialize.format_number(12.0 / math.sqrt(wf.omega))
+    assert out.splitlines()[-1] == f"surface = 5x5, extent {extent} (pass --out to write it)"
+    assert list(tmp_path.iterdir()) == []   # without --out nothing is written
+    code, out, err = run(capsys, *argv, "--out", "s")
+    assert code == 0, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s_surface.csv"]
+    assert out.splitlines()[-1] == f"wrote {tmp_path / 's_surface.csv'}"
+    lines = (tmp_path / "s_surface.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "x,y,value" and len(lines) == 26
+    assert lines[1:] == [",".join(serialize.format_number(v) for v in (x, y, surf.values[i, j]))
+                         for i, x in enumerate(surf.x) for j, y in enumerate(surf.y)]
+
+
+def test_surface_rows_reject_shape_mismatch():
+    with pytest.raises(ValueError, match="values must be shaped"):
+        serialize.surface_rows([0.0, 1.0], [0.0, 1.0, 2.0], np.zeros((3, 2)))
+
+
 def test_density_unknown_case(capsys):
     code, _, err = run(capsys, "density", "--case", "nope")
     assert code == 2
@@ -418,6 +446,9 @@ def test_separated_negative_nonfinite_values_reach_domain_checks(capsys, argv, m
     "entropy --n 2 --Z 1 --surface --extent 0",
     "entropy --n 2 --Z 1 --surface --extent=-1",
     "qes variational --gamma 1 --alpha -8 --nodes=-1 --N 8",
+    "qes variational --nodes 0 --alpha -8.7 --sextic-m -1.49",
+    "density --case n2m0Zp1 --method both --grid 0:4:3 --beta 2",
+    "density --case n2m0Zp1 --method closed --grid 0:4:3 --beta 2",
 ])
 def test_out_of_range_values_are_config_errors(capsys, argv):
     code, out, err = run(capsys, *argv.split())

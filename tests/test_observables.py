@@ -221,6 +221,26 @@ def test_compare_density_routes_tight():
     assert cmp.beta_used == pytest.approx(0.5)
 
 
+# fit_cm_width's result on each catalog case (Brent to 1e-7 omega); the fit is a
+# report beside the comparison and does not move with it
+_CATALOG_FITTED_BETA = {"n2m0Zm1": 0.50000001180596054, "n2m0Zp1": 0.50000000023559166,
+                        "n2m1Zp1": 0.16666666573517647, "n3m0Zp1": 0.083333333367969595}
+
+
+@pytest.mark.parametrize("fit_width", [False, True])
+def test_compare_density_routes_at_catalog_width(fit_width):
+    # the routes meet at the catalog width; at a fitted one they differ by its offset
+    grid = np.linspace(0.0, 8.0, 161)
+    for case_id, beta_fitted in _CATALOG_FITTED_BETA.items():
+        cmp = observables.compare_density_routes(case_id, grid, fit_width=fit_width)
+        assert cmp.beta_used == float(observables.CATALOG[case_id].omega)
+        assert cmp.max_rel_deviation <= 1e-13, case_id
+        if fit_width:
+            assert cmp.fit.beta == pytest.approx(beta_fitted, rel=1e-10), case_id
+        else:
+            assert cmp.fit is None
+
+
 def test_fit_recovers_catalog_width():
     case = observables.CATALOG["n2m0Zp1"]
     cmp = observables.compare_density_routes(case, np.linspace(0.0, 6.0, 13),

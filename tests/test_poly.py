@@ -5,9 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hookium import hooke, polyops, qes
-from hookium.polyops import (Poly, _integer_form, _primitive, _sturm_chain, _variations, exact_sqrt,
-                              real_roots, sturm_count)
+from hookium import hooke
+from hookium.polyops import Poly, _integer_form, _primitive, exact_sqrt, real_roots, sturm_count
 
 
 def test_arithmetic_round_trip():
@@ -285,12 +284,9 @@ def test_compensated_horner_matches_exact_value():
     assert _compensated_horner(q, y).tolist() == want
 
 
-# The interlacing certificate inside sturm_count against the chain it replaces.
-
-def _chain_count(chain, lo, hi):
-    ends = [x if x in (math.inf, -math.inf) else Fraction(x) for x in (lo, hi)]
-    return _variations(chain, ends[0]) - _variations(chain, ends[1])
-
+# sturm_count against the Fraction reference chain, on the families the integer
+# kernels meet: random products with roots at, inside and between the interval
+# ends, huge coefficients, a double root, and the spectrum ladder.
 
 def _ladder_r_polys():
     """The r-polynomial of every branch of the spectrum ladder (n <= 32, m walking 0..10), Z = +-1."""
@@ -299,28 +295,6 @@ def _ladder_r_polys():
             m = (n + (8 if Z > 0 else 9)) % 11
             for b in hooke.solve_frequencies(n, m, Z):
                 yield _r_poly(b)
-
-
-def _sector_node_count_calls(N, monkeypatch):
-    """(q, lo, hi, count) of every sturm_count call node_count makes in the sector-grid searches."""
-    calls = []
-
-    def record(q, lo, hi):
-        calls.append((q, lo, hi, sturm_count(q, lo, hi)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(qes, "sturm_count", record)
-    for gamma in (Fraction(1, 4), Fraction(4, 9), Fraction(1), Fraction(9, 4), Fraction(4)):
-        for m in (Fraction(-1, 2), Fraction(0), Fraction(1)):
-            for n in (2, 4, 6, 8):
-                p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
-                for k in range(n // 2 + 1):
-                    try:
-                        qes.variational_state(p, k, N)
-                    except qes.NodeCountUnreachable:
-                        pass   # a spurious node past the sector state; the count still ran
-    monkeypatch.setattr(qes, "sturm_count", sturm_count)
-    return calls
 
 
 def _random_polys(rng):
@@ -340,37 +314,29 @@ def _random_polys(rng):
         yield p, roots
 
 
-def test_interlaced_count_matches_chain(monkeypatch):
-    routes = []
-    interlaced = polyops._interlaced_count
-
-    def spy(*args):
-        count = interlaced(*args)
-        routes.append(count is not None)
-        return count
-
-    monkeypatch.setattr(polyops, "_interlaced_count", spy)
+def test_sturm_count_matches_fraction_reference(monkeypatch):
     rng = random.Random(20261018)
     ends = [(0, math.inf), (-math.inf, math.inf), (-math.inf, 0), (float("-inf"), float("inf")),
             (Fraction(-1, 3), Fraction(5, 2)), (0.5, 2.25), (-1.5, Fraction(7, 4)),
             (Fraction(2, 3), Fraction(2, 3)), (1.0, 1.0), (math.inf, math.inf)]
-    cases = [(p, [(0, math.inf), (-math.inf, math.inf), (Fraction(1, 3), 2.5)]) for p in _ladder_r_polys()]
+    cases = [(p, [(0, math.inf)]) for p in _ladder_r_polys()]
     for p, roots in _random_polys(rng):
         # roots exactly at an end: (lo, hi] counts the root at hi and not the one at lo
         cases.append((p, ends + [(r, r + 1) for r in roots] + [(r - 1, r) for r in roots]
                       + [(r, r) for r in roots]))
     big = Poly([-1e-300, 0.0, 1e300])   # its integer form has entries past the float range
     cases.append((big, ends))
-    cases.append((Poly([1e300, 0.0, -1e-300]), ends))   # the companion matrix overflows
+    cases.append((Poly([1e300, 0.0, -1e-300]), ends))
     cases.append((Poly([Fraction(6), Fraction(-5), Fraction(1)]) * Poly([Fraction(-2), Fraction(1)]),
                   ends))   # verify's (x-2)^2 (x-3)
+
+    def no_companion_roots(*args):
+        raise AssertionError("sturm_count reached np.roots")
+
+    monkeypatch.setattr(np, "roots", no_companion_roots)
     for p, intervals in cases:
-        chain = _sturm_chain(_integer_form(p)[0])
+        chain = _ref_sturm_chain(p.as_fractions())
         for lo, hi in intervals:
-            assert sturm_count(p, lo, hi) == _chain_count(chain, lo, hi), (p, lo, hi)
-    # node_count's own calls, each compared as the search made it (N = 60 costs seconds per pass)
-    for N in (16, 60):
-        for q, lo, hi, count in _sector_node_count_calls(N, monkeypatch):
-            assert count == _chain_count(_sturm_chain(_integer_form(q)[0]), lo, hi), (N, q, lo, hi)
+            want = _ref_variations(chain, lo) - _ref_variations(chain, hi)
+            assert sturm_count(p, lo, hi) == want, (p, lo, hi)
     assert sturm_count(big, 0, math.inf) == 1 and sturm_count(big, -math.inf, math.inf) == 2
-    assert True in routes and False in routes

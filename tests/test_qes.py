@@ -302,6 +302,20 @@ def test_ritz_levels_match_per_entry_assembly(m, n):
             np.testing.assert_allclose(got[:n // 2 + 1], want[:n // 2 + 1], rtol=0, atol=1e-10)
 
 
+def test_rule_rejects_m_too_close_to_minus_three_halves():
+    # off the half-integers, x^(2m+2) next to 0 needs ceil(17/(2m+3)) decades; past
+    # 300 the rule cannot resolve it and the levels would drift (5.2e-8 at m = -1.49)
+    p = qes.SexticParams(alpha=-8.7, gamma=1.0, m=-1.49)
+    for call in (lambda: qes._ritz_levels(p, 16), lambda: qes.rayleigh_quotient(p, -1.8, 16),
+                 lambda: qes.variational_state(p, 0, 16)):
+        with pytest.raises(ValueError, match="too close to -3/2"):
+            call()
+    # 284 decades: the lowest levels still match the oracle
+    p = qes.SexticParams(alpha=-8.7, gamma=1.0, m=-1.47)
+    np.testing.assert_allclose(qes._ritz_levels(p, 16)[:3], _per_entry_ritz(p, 16)[:3],
+                               rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("k, level", ((0, -2.44194036), (1, 1.65920619)))
 def test_variational_off_sector_converges_from_above(k, level):
     p = qes.SexticParams(alpha=-8.7, gamma=1.0, m=-0.5)
