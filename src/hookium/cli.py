@@ -144,6 +144,13 @@ def _resolve_branch(n, m, Z, omega, index):
     return hooke._with_roots([branches[index]])[0]   # roots for this branch alone
 
 
+def _unread(args, names, context):
+    """ConfigError naming each option of names that a flag or the config file gave."""
+    unread = [f"--{name.replace('_', '-')}" for name in names if name in args.given]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)} would be ignored {context}")
+
+
 def _require(args, *names):
     # required-ness is enforced here, after config merge, so a config file
     # can supply any option a flag can
@@ -195,15 +202,14 @@ def cmd_density(args) -> int:
     tol_rel = tol_abs * 1e3
     if not (0 < tol_abs and tol_rel < math.inf):
         raise ConfigError(f"--quad-tol must be positive with 1000x it finite, got {tol_abs!r}")
-    if args.beta is not None and args.method != "quadrature":
-        raise ConfigError(f"--beta applies to --method quadrature only; --method {args.method} "
-                          f"uses the catalog width omega_tilde")
+    unread = {"quadrature": ("no_fit",), "closed": ("beta", "angular", "no_fit"), "both": ("beta",)}
+    _unread(args, unread[args.method], f"with --method {args.method}")
     if args.case:
+        _unread(args, ("n", "m", "Z", "omega", "branch"), "with --case")
         try:
-            case = observables.CATALOG[args.case]
-        except KeyError:
-            raise ConfigError(f"unknown density case {args.case!r}; "
-                              f"have {', '.join(sorted(observables.CATALOG))}") from None
+            case = observables._catalog_case(args.case)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
         wf = hooke.build_wavefunction(case.branch())
         grid = build_grid(args.grid, args.spacing, case.omega)
         case_id = case.case_id
@@ -281,7 +287,10 @@ def cmd_density(args) -> int:
 
 def cmd_entropy(args) -> int:
     _require(args, "n")
+    if not args.surface:
+        _unread(args, ("extent", "surface_points"), "without --surface")
     if args.scan:
+        _unread(args, ("omega", "branch", "surface", "grid", "spacing"), "with --scan")
         rows = observables.entropy_scan(args.n, parse_int_range(args.m),
                                         parse_number_list(args.Z))
         text = render_csv(("m", "omega", "Z", "entropy"), scan_rows(rows))
@@ -347,6 +356,7 @@ def cmd_qes_condition(args) -> int:
 
 def cmd_qes_map(args) -> int:
     if args.n is not None:
+        _unread(args, ("gamma", "alpha", "E", "sextic_m"), "with --n (the trap side)")
         m = _single(parse_int_range(args.m), "--m")
         Z = _single(parse_number_list(args.Z), "--Z")
         branch = _resolve_branch(args.n, m, Z, None, args.branch)
@@ -362,6 +372,7 @@ def cmd_qes_map(args) -> int:
         return EXIT_OK
     if args.gamma is None or args.alpha is None or args.E is None:
         raise ConfigError("map needs either --n/--m/--Z or --gamma/--alpha/--E")
+    _unread(args, ("m", "Z", "branch"), "without --n (the sextic side)")
     E = parse_rational(args.E)
     p = qes.SexticParams(alpha=float(parse_rational(args.alpha)),
                          gamma=parse_rational(args.gamma), m=parse_rational(args.sextic_m))
@@ -448,8 +459,8 @@ def _convert_config_value(action, value: str):
         raise ConfigError(f"bad value {value!r} for {action.option_strings[0]}: {exc}") from None
 
 
-def apply_config(leaf_parser, args, cfg: dict, argv: list) -> None:
-    """Fill in config values for every option the command line left at default."""
+def apply_config(leaf_parser, args, cfg: dict) -> None:
+    """Fill in config values for every option not in args.given, and add their keys to it."""
     by_dest = {a.dest: a for a in leaf_parser._actions if a.option_strings}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
@@ -458,16 +469,12 @@ def apply_config(leaf_parser, args, cfg: dict, argv: list) -> None:
         action = by_dest.get(dest)
         if action is None:
             raise ConfigError(f"unknown config key {key!r} for this command")
-        explicit = any(tok == opt or tok.startswith(opt + "=")
-                       for opt in action.option_strings for tok in argv)
-        if explicit:
-            continue
-        setattr(args, dest, _convert_config_value(action, value))
+        if dest not in args.given:
+            setattr(args, dest, _convert_config_value(action, value))
+            args.given.add(dest)
 
 
 # ---------------------------------------------------------------- parser
-
-_LEAF_PARSERS: dict = {}
 
 # argparse reads a separated value that starts with '-' as a flag unless it matches
 # this pattern (its own admits integers and decimals only). Every value form the parsers
@@ -479,7 +486,7 @@ _NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(?:[,:][+-]?{_NUMBER})*$", re.IGNORE
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The hookium parser, built once per process; it also fills _LEAF_PARSERS.
+    """The hookium parser, built once per process.
 
     Parsing leaves the parser unchanged (each call gets a fresh Namespace, and
     config values land on that), so every main call can share it.
@@ -489,21 +496,24 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", help="output directory (default: $HOOKIUM_OUT_DIR or .)")
     common.add_argument("--out", help="basename for written files; nothing is written without it")
 
+    def leaf(subparsers, name, func, summary):
+        """A command's own parser; parsing sets args.func and args.leaf (this parser)."""
+        p = subparsers.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func, leaf=p)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        return p
+
     parser = argparse.ArgumentParser(prog="hookium",
                                      description="closed-form states of two trapped "
                                                  "Coulomb-interacting particles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="closed branches for given quantum numbers")
+    p_solve = leaf(sub, "solve", cmd_solve, "closed branches for given quantum numbers")
     p_solve.add_argument("--n", type=int, help="polynomial order (n >= 2)")
     p_solve.add_argument("--m", default="0", help="angular momentum, single or range 'a:b'")
     p_solve.add_argument("--Z", default="1", help="Coulomb coupling(s), comma-separated")
-    p_solve.set_defaults(func=cmd_solve)
-    _LEAF_PARSERS["solve"] = p_solve
 
-    p_density = sub.add_parser("density", parents=[common],
-                               help="single-particle density profiles")
+    p_density = leaf(sub, "density", cmd_density, "single-particle density profiles")
     p_density.add_argument("--case", help="cataloged closed-form case id")
     p_density.add_argument("--n", type=int, help="polynomial order (with --m/--Z)")
     p_density.add_argument("--m", default="0")
@@ -527,11 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "panel against two and doubles up to 64 panels until "
                                 "the two agree within it, else exit 4; checked with "
                                 "every --method")
-    p_density.set_defaults(func=cmd_density)
-    _LEAF_PARSERS["density"] = p_density
 
-    p_entropy = sub.add_parser("entropy", parents=[common],
-                               help="information-entropy profiles and scans")
+    p_entropy = leaf(sub, "entropy", cmd_entropy, "information-entropy profiles and scans")
     p_entropy.add_argument("--n", type=int)
     p_entropy.add_argument("--m", default="0", help="single value or range 'a:b' with --scan")
     p_entropy.add_argument("--Z", default="1", help="single value or comma list with --scan")
@@ -546,22 +553,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_entropy.add_argument("--surface-points", type=int, default=201)
     p_entropy.add_argument("--grid", default=None, help="'min:max:points'")
     p_entropy.add_argument("--spacing", choices=("linear", "log"), default="log")
-    p_entropy.set_defaults(func=cmd_entropy)
-    _LEAF_PARSERS["entropy"] = p_entropy
 
     p_qes = sub.add_parser("qes", help="sextic-oscillator bridge")
     qes_sub = p_qes.add_subparsers(dest="qes_command", required=True)
 
-    p_cond = qes_sub.add_parser("condition", parents=[common],
-                                help="coupling that closes a polynomial sector")
+    p_cond = leaf(qes_sub, "condition", cmd_qes_condition,
+                  "coupling that closes a polynomial sector")
     p_cond.add_argument("--n", type=int, help="sector index")
     p_cond.add_argument("--m", default="0", help="centrifugal index")
     p_cond.add_argument("--gamma", help="sextic coupling, e.g. 4/9")
-    p_cond.set_defaults(func=cmd_qes_condition)
-    _LEAF_PARSERS["qes condition"] = p_cond
 
-    p_map = qes_sub.add_parser("map", parents=[common],
-                               help="x^2 = r dictionary, either direction")
+    p_map = leaf(qes_sub, "map", cmd_qes_map, "x^2 = r dictionary, either direction")
     p_map.add_argument("--n", type=int, help="trap side: polynomial order")
     p_map.add_argument("--m", default="0")
     p_map.add_argument("--Z", default="1")
@@ -570,11 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--alpha", help="sextic side: quadratic coupling")
     p_map.add_argument("--E", help="sextic side: energy")
     p_map.add_argument("--sextic-m", default="0", help="sextic side: centrifugal index")
-    p_map.set_defaults(func=cmd_qes_map)
-    _LEAF_PARSERS["qes map"] = p_map
 
-    p_var = qes_sub.add_parser("variational", parents=[common],
-                               help="Rayleigh-Ritz level at fixed node count")
+    p_var = leaf(qes_sub, "variational", cmd_qes_variational,
+                 "Rayleigh-Ritz level at fixed node count")
     p_var.add_argument("--gamma", default="1",
                        help="sextic coupling (defaults describe the repulsive "
                             "two-particle pair mapped through x^2 = r)")
@@ -586,32 +586,28 @@ def build_parser() -> argparse.ArgumentParser:
                             "N//2 + 1 functions")
     p_var.add_argument("--bracket", default=None,
                        help="'lo:hi' energy range the level must lie in")
-    p_var.set_defaults(func=cmd_qes_variational)
-    _LEAF_PARSERS["qes variational"] = p_var
 
-    p_verify = sub.add_parser("verify", parents=[common], help="named consistency checks")
+    p_verify = leaf(sub, "verify", cmd_verify, "named consistency checks")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--detune", type=float, default=0.0,
                           help="fractional frequency detuning injected into the "
                                "eigen-residual check (nonzero must fail)")
-    p_verify.set_defaults(func=cmd_verify)
-    _LEAF_PARSERS["verify"] = p_verify
-
-    for leaf in _LEAF_PARSERS.values():
-        leaf._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            leaf_key = args.command
-            if args.command == "qes":
-                leaf_key = f"qes {args.qes_command}"
-            apply_config(_LEAF_PARSERS[leaf_key], args, load_config(args.config), argv)
+        # args.given: the options that were given, in any spelling (abbreviated, or with '=').
+        # The leaf's own tokens (after the command words) are parsed again into a namespace
+        # of sentinels; a leaf has no subparsers, so argparse leaves the others at theirs.
+        unset, actions = object(), args.leaf._actions
+        tokens = argv[argv.index(args.command) + 1 + (args.command == "qes"):]
+        ns = args.leaf.parse_args(tokens, argparse.Namespace(**{a.dest: unset for a in actions}))
+        args.given = {a.dest for a in actions if getattr(ns, a.dest) is not unset}
+        if args.config:
+            apply_config(args.leaf, args, load_config(args.config))
         return args.func(args)
     except hooke.NoBranchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .integrate import QuadratureNonConvergence, gauss_legendre
-from .polyops import Poly, _compensated_horner, real_roots, sturm_count
+from .polyops import Poly, real_roots
 from .series import EulerPolynomial, MonomialOperator
 
 __all__ = [
@@ -100,11 +100,11 @@ class QuantizationBranch:
     solve_frequencies reads N+ off the branch's rank (repulsive branch k of B,
     in descending omega, has B - 1 - k; attractive branch k has n - B + k).
 
-    roots holds the read-only roots r_k = zeta_k / sqrt(omega_tilde) of that
-    polynomial, ascending, for a branch that build_wavefunction builds from
-    them (integer |m|, and irrational omega or non-integer Z); it is empty
-    otherwise. It takes no part in ==, hash or repr: the other fields
-    determine it.
+    roots holds the read-only roots r_k of that polynomial, ascending: from
+    solve_frequencies, zeta_k / sqrt(omega_tilde), on a branch built from them
+    (integer |m|, and irrational omega or non-integer Z); from
+    build_wavefunction, on the state's copy of an exact-route branch. It is
+    empty otherwise, and takes no part in ==, hash or repr.
     """
 
     n: int
@@ -311,8 +311,8 @@ class CenterOfMassState:
 
 
 class _RootProduct(Poly):
-    """prod(1 - x / r_k) as a Poly: only the roots are stored, the coefficients
-    (a_0 = 1) are expanded each time they are read."""
+    """prod(1 - x / r_k) as a Poly: only the roots are stored, a call takes the
+    product, and the coefficients (a_0 = 1) are expanded each time they are read."""
 
     __slots__ = ("roots",)
 
@@ -333,6 +333,19 @@ class _RootProduct(Poly):
     def degree(self) -> int:
         return len(self.roots)
 
+    def __call__(self, x):
+        if np.ndim(x) == 0:   # one point (the adaptive oracles): Python floats, same rounding
+            x, p = float(x), 1.0
+            for root in self.roots.tolist():
+                p *= 1.0 - x / root
+            return p
+        p, f = np.ones_like(x), np.empty_like(x)   # one factor buffer: no array per root
+        for root in self.roots.tolist():
+            np.divide(x, root, out=f)
+            np.subtract(1.0, f, out=f)
+            p *= f
+        return p
+
 
 @dataclass(frozen=True, slots=True)
 class RadialWavefunction:
@@ -343,7 +356,7 @@ class RadialWavefunction:
     the float coefficients (a_0 = 1) are expanded only for their readers.
     Otherwise (rational omega, and profiles built elsewhere) p is poly itself,
     with exact rational coefficients when the branch frequency is rational.
-    Evaluation is always in floats.
+    Evaluation is always in floats, by poly's own call.
     """
 
     m_abs: float
@@ -355,9 +368,15 @@ class RadialWavefunction:
     branch: QuantizationBranch | None = None
 
     @property
-    def roots(self) -> np.ndarray | None:
-        """The roots r_k of p when the state was built from them, else None."""
-        return self.poly.roots if isinstance(self.poly, _RootProduct) else None
+    def roots(self) -> np.ndarray:
+        """The n - 1 roots of p, ascending and read-only, on the state's branch.
+
+        A profile with no branch (a sextic_state_to_hooke image, or one built
+        by hand) has none, and reading them raises ValueError.
+        """
+        if self.branch is None:
+            raise ValueError("the profile carries no roots; only build_wavefunction's states do")
+        return self.branch.roots
 
     @property
     def nu(self) -> float:
@@ -367,32 +386,14 @@ class RadialWavefunction:
         """Radius beyond which exp(-w r^2) has dropped by e**-log_tail."""
         return math.sqrt(log_tail / self.omega)
 
-    def factor(self, r):
-        """The polynomial factor p(r) on a float array."""
-        roots = self.roots
-        if roots is None:
-            return self.poly(r)
-        if r.ndim == 0:   # one point (the adaptive oracles): Python floats, same rounding
-            x, p = float(r), 1.0
-            for root in roots.tolist():
-                p *= 1.0 - x / root
-            return p
-        p, f = np.ones_like(r), np.empty_like(r)   # one factor buffer: no array per root
-        for root in roots.tolist():
-            np.divide(r, root, out=f)
-            np.subtract(1.0, f, out=f)
-            p *= f
-        return p
-
     def _factor_derivatives(self, r):
         """(p, p', p'') on a float array; with roots, by the product rule, dividing by no factor."""
-        roots = self.roots
-        if roots is None:
+        if not isinstance(self.poly, _RootProduct):
             dpoly = self.poly.derivative()
             return self.poly(r), dpoly(r), dpoly.derivative()(r)
         p, dp, ddp = np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
         f, t = np.empty_like(r), np.empty_like(r)   # the factor and one product: no array per root
-        for root in roots.tolist():
+        for root in self.poly.roots.tolist():
             df = -1.0 / root
             np.divide(r, root, out=f)
             np.subtract(1.0, f, out=f)
@@ -405,20 +406,20 @@ class RadialWavefunction:
 
     def u(self, r):
         r = np.asarray(r, dtype=float)
-        out = self.norm * np.exp(-0.5 * self.omega * r * r) * r**self.nu * self.factor(r)
+        out = self.norm * np.exp(-0.5 * self.omega * r * r) * r**self.nu * self.poly(r)
         return out if out.ndim else float(out)
 
     def u_squared(self, r):
         """u^2 written with r^(2|m|) * r, smooth at the origin."""
         r = np.asarray(r, dtype=float)
         out = (self.norm**2 * np.exp(-self.omega * r * r)
-               * r ** (2 * float(self.m_abs) + 1) * self.factor(r) ** 2)
+               * r ** (2 * float(self.m_abs) + 1) * self.poly(r) ** 2)
         return out if out.ndim else float(out)
 
     def density_radial(self, r):
         """u^2 / r = norm^2 exp(-w r^2) r^(2|m|) p^2; finite everywhere."""
         r = np.asarray(r, dtype=float)
-        out = self.norm**2 * np.exp(-self.omega * r * r) * r ** (2 * float(self.m_abs)) * self.factor(r) ** 2
+        out = self.norm**2 * np.exp(-self.omega * r * r) * r ** (2 * float(self.m_abs)) * self.poly(r) ** 2
         return out if out.ndim else float(out)
 
     def _u_and_second(self, r):
@@ -441,13 +442,8 @@ class RadialWavefunction:
 
     @property
     def nodes(self) -> int:
-        """Positive real zeros of the polynomial factor: the positive roots, else a Sturm count."""
-        roots = self.roots
-        if roots is not None:
-            return int(np.count_nonzero(roots > 0))
-        if self.poly.degree < 1:
-            return 0
-        return sturm_count(self.poly, 0, math.inf)
+        """Positive real zeros of the polynomial factor: the count of its positive roots."""
+        return int(np.count_nonzero(self.roots > 0))
 
 
 def _u2_range(wf: "RadialWavefunction") -> float:
@@ -463,16 +459,16 @@ def _certify(wf: RadialWavefunction) -> None:
     """Raise QuadratureNonConvergence unless p, as evaluated in floats, is its exact value.
 
     The shared Gauss rule (from 4 against 8 panels) integrates
-    N^2 exp(-omega r^2) r^(2|m|+1) |p^2 - p~^2|, with p~ the compensated Horner
-    value of the exact polynomial; it must be within 1e-10 of 0. This measures
-    the float evaluation error of p directly, so a noisy state cannot pass by
-    how its noise falls on the rule's nodes. That u^2 integrates to 1 is the
-    normalization's own certificate (build_wavefunction).
+    N^2 exp(-omega r^2) r^(2|m|+1) |p^2 - p~^2|, with p the Horner value of the
+    exact coefficients and p~ = prod(1 - r / r_k) over the state's roots; it
+    must be within 1e-10 of 0. This measures the float evaluation error of p
+    directly, so a noisy state cannot pass by how its noise falls on the rule's
+    nodes, and roots that are not p's fail it too. That u^2 integrates to 1 is
+    the normalization's own certificate (build_wavefunction).
     """
     def noise(r):
-        p = wf.poly(r)
         return (wf.norm**2 * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1)
-                * np.abs(p**2 - _compensated_horner(wf.poly, r) ** 2))
+                * np.abs(wf.poly(r) ** 2 - _RootProduct(wf.roots)(r) ** 2))
     error, _ = gauss_legendre(noise, 0.0, _u2_range(wf), panels=4, tol_abs=_NOISE_TOL, tol_rel=0.0)
     if not error <= _NOISE_TOL:
         raise QuadratureNonConvergence(
@@ -574,15 +570,17 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
 
     Exact route, when omega_tilde is rational and Z an integer (the n = 2, 3
     closed forms and every rational root): the recurrence runs in r on exact
-    rationals (kappa = Z, omega = omega_tilde), and `_certify` rejects a
-    state whose float evaluation of p is too noisy.
+    rationals (kappa = Z, omega = omega_tilde), and p is its Horner value. One
+    real_roots call gives its n - 1 roots, put on the state's copy of the
+    branch, and `_certify` rejects a state whose p strays from their product.
 
     Root route, otherwise: p is prod(1 - r / r_k) on the branch's own roots
     array, which solve_frequencies found as the Stieltjes equilibrium of the
     branch's chamber; raises ValueError for a branch that carries no roots.
 
     Both are normalized by the shared Gauss rule on u^2, from 8 against 16
-    panels, certified at 1e-13 relative.
+    panels, certified at 1e-13 relative. The node count and the entropy
+    breaks of either read the state's roots (wf.roots).
     """
     if not float(branch.m_abs).is_integer():
         raise ValueError(f"a trap state needs an integer |m|, got {branch.m!r}")
@@ -591,6 +589,10 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
         m_abs = abs(Fraction(branch.m)) if _is_rational(branch.m) else float(branch.m_abs)
         poly = Poly(recurrence_coefficients(Fraction(int(branch.Z)), 2 * (branch.n - 1), m_abs,
                                             branch.n, branch.omega_exact))
+        rational, irrational = real_roots(poly)
+        roots = np.array(sorted([float(x) for x in rational] + irrational))
+        roots.flags.writeable = False
+        branch = replace(branch, roots=roots)
     elif len(branch.roots) != branch.n - 1:
         raise ValueError("the branch carries no roots; take it from solve_frequencies")
     else:

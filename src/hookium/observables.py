@@ -25,7 +25,6 @@ from .hooke import (
     solve_frequencies,
 )
 from .integrate import _GL_W, _GL_X, _check_budget, gauss_legendre
-from .polyops import real_roots
 
 __all__ = [
     "CATALOG",
@@ -259,13 +258,20 @@ CATALOG: dict[str, ClosedFormDensityCase] = {
 }
 
 
+def _catalog_case(case) -> ClosedFormDensityCase:
+    """The CATALOG entry of a case id (a case passes through); KeyError lists the ids."""
+    if not isinstance(case, str):
+        return case
+    try:
+        return CATALOG[case]
+    except KeyError:
+        raise KeyError(f"unknown density case {case!r}; "
+                       f"have {', '.join(sorted(CATALOG))}") from None
+
+
 def closed_form_density(case, grid=None) -> DensityProfile:
     """Evaluate a cataloged expression on the grid, normalized to 2 particles."""
-    if isinstance(case, str):
-        try:
-            case = CATALOG[case]
-        except KeyError:
-            raise KeyError(f"unknown density case {case!r}; have {sorted(CATALOG)}") from None
+    case = _catalog_case(case)
     if grid is None:
         grid = default_grid(case.omega)
     grid = np.asarray(grid, dtype=float)
@@ -348,8 +354,7 @@ def compare_density_routes(case, grid=None, *, fit_width: bool = True,
     to the closed form as its own report (fit), with no further convolution.
     tol_abs and tol_rel are the convolution's budget, as in density_quadrature.
     """
-    if isinstance(case, str):
-        case = CATALOG[case]
+    case = _catalog_case(case)
     if grid is None:
         grid = np.linspace(0.0, 8.0, 81)
     grid = np.asarray(grid, dtype=float)
@@ -430,29 +435,20 @@ def entropy_surface(wf: RadialWavefunction, extent: float | None = None,
     return EntropySurface(x=axis, y=axis, values=vals)
 
 
-def _polynomial_node_hints(wf: RadialWavefunction) -> list[float]:
-    """Positive nodes of p: the state's own roots when it carries them, else real_roots."""
-    roots = wf.roots
-    if roots is not None:
-        return roots[roots > 0].tolist()
-    if wf.poly.degree < 1:
-        return []
-    rational, irrational = real_roots(wf.poly)
-    return [float(r) for r in rational if r > 0] + [r for r in irrational if r > 0]
-
-
 _GRADING = 0.15 ** np.arange(6, 0, -1)   # geometric steps toward an end at 0 or a node
 
 
 def _entropy_edges(wf: RadialWavefunction) -> np.ndarray:
     """Panel edges on [0, R], R = support_radius(140), graded at the origin and the nodes.
 
-    The breaks are 0, each positive node, min(6/sqrt(omega), R) and R. Each
-    interval is graded geometrically toward each end at 0 or at a node; with
-    both ends such points, each side takes half the interval.
+    The breaks are 0, each of the state's roots in (0, R) (its nodes),
+    min(6/sqrt(omega), R) and R. Each interval is graded geometrically toward
+    each end at 0 or at a node; with both ends such points, each side takes
+    half the interval. A profile with no roots raises ValueError.
     """
     R = wf.support_radius(140.0)
-    singular = {0.0, *(r for r in _polynomial_node_hints(wf) if r < R)}
+    roots = wf.roots
+    singular = {0.0, *roots[(roots > 0) & (roots < R)].tolist()}
     breaks = sorted(singular | {min(6.0 / math.sqrt(wf.omega), R), R})
     edges = [0.0]
     for a, b in zip(breaks, breaks[1:]):
@@ -508,7 +504,7 @@ def _entropy_on(wf: RadialWavefunction, edges: np.ndarray, total) -> float:
     """S from the rule's four moments on the panels; `total` sums one moment's terms."""
     half = 0.5 * np.diff(edges)[:, None]
     r = edges[:-1, None] + half * (1.0 + _GL_X)
-    p2 = wf.factor(r) ** 2
+    p2 = wf.poly(r) ** 2
     q = half * _GL_W * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1) * p2
     spread = wf.omega * total((q * (r * r)).ravel())
     if wf.m_abs:
@@ -530,7 +526,8 @@ def total_entropy(wf: RadialWavefunction, *, tol_abs: float = 1e-10,
     the origin and the nodes of p, where q ln r and q ln p^2 are not smooth,
     and one over their bisection. The finer value is returned;
     QuadratureNonConvergence is raised when the two differ by more than
-    max(tol_abs, tol_rel |S|).
+    max(tol_abs, tol_rel |S|). A profile with no roots (wf.roots), such as an
+    unnormalized sextic_state_to_hooke image, raises ValueError.
     """
     edges = _entropy_edges(wf)
     fine = np.empty(2 * edges.size - 1)

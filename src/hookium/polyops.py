@@ -162,38 +162,6 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-_SPLIT = 2.0**27 + 1.0   # Dekker's splitter for float64
-
-
-def _compensated_horner(p: Poly, x: np.ndarray) -> np.ndarray:
-    """p(x) on a float array, as accurate as Horner run in twice the working precision.
-
-    Compensated Horner (Graillat, Langlois & Louvet, 2005) on a double-double
-    split of the exact coefficients: the rounding error of every product
-    (Dekker's TwoProduct, without FMA) and every sum (Knuth's TwoSum) runs
-    through a second Horner recurrence, whose value corrects the float one.
-    """
-    hi = [float(c) for c in p.coeffs]
-    lo = [0.0 if isinstance(c, float) else float(Fraction(c) - Fraction(h))
-          for c, h in zip(p.coeffs, hi)]
-    xc = _SPLIT * x
-    xh = xc - (xc - x)
-    xl = x - xh
-    s = np.full_like(x, hi[-1])
-    err = np.full_like(x, lo[-1])
-    for a, a_lo in zip(hi[-2::-1], lo[-2::-1]):
-        prod = s * x
-        sc = _SPLIT * s
-        sh = sc - (sc - s)
-        sl = s - sh
-        prod_err = sl * xl - (((prod - sh * xh) - sl * xh) - sh * xl)
-        s = prod + a
-        z = s - prod
-        sum_err = (prod - (s - z)) + (a - z)
-        err = err * x + (prod_err + sum_err + a_lo)
-    return s + err
-
-
 def exact_sqrt(q) -> Fraction | None:
     """Square root of a nonnegative rational if it is itself rational, else None."""
     q = Fraction(q)

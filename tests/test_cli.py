@@ -346,6 +346,17 @@ def test_config_file_merge(tmp_path, capsys):
     assert len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("flag", ["--meth closed", "--meth=closed", "--method closed",
+                                  "--method=closed"])
+def test_flag_in_any_spelling_beats_config(tmp_path, capsys, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = both\n")
+    code, out, err = run(capsys, "density", "--case", "n2m0Zp1", "--config", str(cfg),
+                         *flag.split(), "--grid", "0:8:5")
+    assert code == 0, err
+    assert out.splitlines()[1] == "method = closed-form"
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 3\nbogus = 1\n")
@@ -449,6 +460,13 @@ def test_separated_negative_nonfinite_values_reach_domain_checks(capsys, argv, m
     "qes variational --nodes 0 --alpha -8.7 --sextic-m -1.49",
     "density --case n2m0Zp1 --method both --grid 0:4:3 --beta 2",
     "density --case n2m0Zp1 --method closed --grid 0:4:3 --beta 2",
+    # inputs that the chosen mode does not read
+    "density --case n2m0Zp1 --n 3 --Z -1",
+    "entropy --scan --n 3 --m 0:1 --Z 1 --surface --branch 2 --grid 0:1:3",
+    "qes map --n 2 --m 0 --Z -1 --gamma 4 --alpha 3 --E 1",
+    "qes map --gamma 1 --alpha -8 --E 2 --Z 1",
+    "entropy --n 2 --Z 1 --extent 3",
+    "density --case n2m0Zp1 --method closed --grid 0:4:3 --no-fit",
 ])
 def test_out_of_range_values_are_config_errors(capsys, argv):
     code, out, err = run(capsys, *argv.split())
@@ -456,3 +474,21 @@ def test_out_of_range_values_are_config_errors(capsys, argv):
     assert err.startswith("error: ")
     if "abc" in argv.split():
         assert err == "error: not a number: 'abc'\n"
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    ("density --case n2m0Zp1 --n 3 --Z -1", "", "--n, --Z would be ignored with --case"),
+    ("entropy --scan --n 3 --m 0:1 --Z 1 --surface --branch 2 --grid 0:1:3", "",
+     "--branch, --surface, --grid would be ignored with --scan"),
+    ("qes map --n 2 --m 0 --Z -1 --gamma 4 --alpha 3 --E 1", "",
+     "--gamma, --alpha, --E would be ignored with --n (the trap side)"),
+    ("density --case n2m0Zp1", "n = 3\n", "--n would be ignored with --case"),
+    ("entropy --n 3 --scan", "surface = true\n", "--surface would be ignored with --scan"),
+])
+def test_unread_inputs_are_named(tmp_path, capsys, argv, config, named):
+    # a flag or config key that the chosen mode does not read exits 2 and is named
+    extra = []
+    if config:
+        (tmp_path / "c.cfg").write_text(config)
+        extra = ["--config", str(tmp_path / "c.cfg")]
+    assert run(capsys, *argv.split(), *extra) == (2, "", f"error: {named}\n")

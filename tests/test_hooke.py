@@ -10,7 +10,7 @@ import pytest
 
 from hookium import hooke
 from hookium.integrate import QuadratureNonConvergence, adaptive_quad
-from hookium.polyops import Poly, sturm_count
+from hookium.polyops import Poly, real_roots, sturm_count
 from hookium.series import series_solve
 
 
@@ -187,11 +187,7 @@ def _check_ladder(n, m, Z, only=None):
         rho_poly = Poly(hooke.recurrence_coefficients(kappa, 2 * (n - 1), m, n))
         want = B - 1 - k if Z > 0 else n - B + k
         assert wf.nodes == sturm_count(rho_poly, 0, math.inf) == want, (n, m, Z, k)
-        if wf.roots is None:   # exact route: sum(r_k) from the exact coefficients
-            root_sum = -wf.poly.coeffs[-2] / wf.poly.coeffs[-1]
-        else:
-            root_sum = math.fsum(wf.roots)
-        defect = abs(-2 * math.sqrt(b.omega_tilde) * float(root_sum) - float(kappa))
+        defect = abs(-2 * math.sqrt(b.omega_tilde) * math.fsum(wf.roots) - float(kappa))
         assert defect <= 1e-12 * abs(b.kappa), (n, m, Z, k, defect)
 
 
@@ -263,12 +259,16 @@ def _gamma_moment_norm(m_abs, omega, poly):
 @pytest.mark.parametrize("m", list(range(11)))
 @pytest.mark.parametrize("n", [2, 3])
 def test_norm_moment_sums_exact(n, m, Z):
-    # the built exact-coefficient state: its poly is the exact r-polynomial, and the
-    # shared Gauss rule's norm equals the closed-form Gamma-moment norm
+    # the built exact-coefficient state: its poly is the exact r-polynomial, its roots
+    # are that polynomial's real roots as floats, and the shared Gauss rule's norm
+    # equals the closed-form Gamma-moment norm
     (b,) = hooke.solve_frequencies(n, m, Z)
     w, poly = _r_poly(b)
     wf = hooke.build_wavefunction(b)
-    assert wf.poly == poly and wf.roots is None
+    assert wf.poly == poly
+    rational, irrational = real_roots(poly)
+    assert wf.roots.tolist() == sorted([float(x) for x in rational] + irrational)
+    assert len(wf.roots) == n - 1 and not wf.roots.flags.writeable
     assert wf.norm == pytest.approx(_gamma_moment_norm(m, w, poly), rel=1e-14, abs=0.0)
 
 
@@ -302,7 +302,7 @@ def test_norm_needs_integer_m():
 
 
 def test_certify_runs_on_coefficient_states_only(monkeypatch):
-    # the exact-coefficient states are certified against their compensated evaluation;
+    # the exact-coefficient states are certified against the product over their roots;
     # a root-product state is evaluated from its roots and has nothing to certify
     certified = []
     certify = hooke._certify
@@ -312,9 +312,28 @@ def test_certify_runs_on_coefficient_states_only(monkeypatch):
              for b in hooke.solve_frequencies(n, m, Z)]
     built += [hooke.build_wavefunction(hooke.oscillator_branch(m, w))
               for m in (0, 3) for w in (Fraction(1, 2), 2, 0.3)]
-    coefficient_form = [wf for wf in built if wf.roots is None]
+    coefficient_form = [wf for wf in built if not isinstance(wf.poly, hooke._RootProduct)]
     assert coefficient_form and len(coefficient_form) < len(built)
     assert [id(wf) for wf in certified] == [id(wf) for wf in coefficient_form]
+
+
+@pytest.mark.parametrize("n, m, Z", [(2, 0, 1), (3, 1, -1), (3, 4, 2)])
+def test_certify_rejects_roots_that_are_not_the_polynomials(monkeypatch, n, m, Z):
+    # one exact-route root 1e-6 relative off: p, by Horner on the exact coefficients,
+    # no longer equals the product over the roots, and the build fails loudly
+    (b,) = hooke.solve_frequencies(n, m, Z)
+    assert b.omega_exact is not None and len(hooke.build_wavefunction(b).roots) == n - 1
+    exact_roots = hooke.real_roots
+
+    def shifted(p):
+        rational, irrational = exact_roots(p)
+        roots = sorted([float(x) for x in rational] + irrational)
+        roots[-1] *= 1.0 + 1e-6
+        return [], roots
+
+    monkeypatch.setattr(hooke, "real_roots", shifted)
+    with pytest.raises(QuadratureNonConvergence):
+        hooke.build_wavefunction(b)
 
 
 _VIRIAL_X, _VIRIAL_W = np.polynomial.legendre.leggauss(64)

@@ -203,8 +203,12 @@ def test_closed_form_normalization():
 
 
 def test_closed_form_unknown_case():
-    with pytest.raises(KeyError, match="n2m0Zp1"):
-        observables.closed_form_density("missing")
+    # both readers of the catalog look a case id up once, with one message
+    for read in (observables.closed_form_density, observables.compare_density_routes):
+        with pytest.raises(KeyError) as exc:
+            read("missing")
+        assert exc.value.args == ("unknown density case 'missing'; "
+                                  "have n2m0Zm1, n2m0Zp1, n2m1Zp1, n3m0Zp1",)
 
 
 def test_n3_case_belongs_to_attractive_branch():

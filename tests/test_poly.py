@@ -263,27 +263,6 @@ def test_integer_kernels_match_fraction_reference():
     assert seen > 350
 
 
-def test_compensated_horner_matches_exact_value():
-    # attractive (24, 10, -1) branch 11: float Horner on its r-polynomial loses
-    # most digits near the outer nodes, compensated Horner keeps them
-    from hookium.polyops import _compensated_horner
-    b = hooke.solve_frequencies(24, 10, -1)[11]
-    p = Poly(hooke.recurrence_coefficients(b.Z, 2 * 23, 10.0, 24, b.omega_tilde))
-    x = np.linspace(1.0, 4.0 / math.sqrt(b.omega_tilde), 40)
-    exact = np.array([float(p.as_fractions()(Fraction(v))) for v in x])
-    scale = np.array([float(Poly([abs(c) for c in p.coeffs])(v)) for v in x])
-    # Graillat-Langlois-Louvet: |error| <= u |p(x)| + gamma_2d^2 sum |c_i| x^i
-    u, gamma = 2.0**-53, 2 * p.degree * 2.0**-53
-    bound = u * np.abs(exact) + gamma**2 * scale
-    assert np.all(np.abs(_compensated_horner(p, x) - exact) <= 2 * bound)
-    assert np.max(np.abs(p(x) - exact) / bound) > 1e6   # where plain Horner is far off
-    # exact rational coefficients enter through their double-double split
-    q = Poly([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)])
-    y = np.array([0.5, 1.25, 3.0])
-    want = [float(q(Fraction(v))) for v in y]
-    assert _compensated_horner(q, y).tolist() == want
-
-
 # sturm_count against the Fraction reference chain, on the families the integer
 # kernels meet: random products with roots at, inside and between the interval
 # ends, huge coefficients, a double root, and the spectrum ladder.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import linalg, special
 
-from hookium import hooke, qes
+from hookium import hooke, observables, qes
 from hookium.integrate import adaptive_quad
 from hookium.series import EulerPolynomial, MonomialOperator, PowerSeries
 
@@ -374,6 +374,18 @@ def test_dictionary_round_trip():
     assert eq.Z == pytest.approx(br.Z, abs=1e-14)
     assert eq.eps_rel == pytest.approx(br.eps_rel, abs=1e-14)
     assert eq.m_tilde == pytest.approx(abs(br.m), abs=1e-14)
+
+
+def test_sextic_image_has_no_roots(exact_sector):
+    # an image carries no branch and so no roots: its nodes are counted on the sextic
+    # side (node_count), and its unnormalized profile has no entropy
+    for Ev in (2.0, -2.0):
+        wf = qes.sextic_state_to_hooke(exact_sector, Ev, qes.qes_eigen_series(Ev, exact_sector, 12))
+        assert wf.poly.degree >= 1
+        with pytest.raises(ValueError, match="no roots"):
+            wf.nodes
+        with pytest.raises(ValueError, match="no roots"):
+            observables.total_entropy(wf)
 
 
 def test_sextic_state_maps_to_valid_trap_state(exact_sector):
