@@ -493,12 +493,17 @@ def build_parser() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value file merged under explicit flags")
-    common.add_argument("--out-dir", help="output directory (default: $HOOKIUM_OUT_DIR or .)")
-    common.add_argument("--out", help="basename for written files; nothing is written without it")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out-dir", help="output directory (default: $HOOKIUM_OUT_DIR or .)")
+    output.add_argument("--out", help="basename for written files; nothing is written without it")
 
-    def leaf(subparsers, name, func, summary):
-        """A command's own parser; parsing sets args.func and args.leaf (this parser)."""
-        p = subparsers.add_parser(name, parents=[common], help=summary)
+    def leaf(subparsers, name, func, summary, writes=False):
+        """A command's own parser; parsing sets args.func and args.leaf (this parser).
+
+        Only a leaf that writes files takes --out and --out-dir.
+        """
+        p = subparsers.add_parser(name, parents=[common, output] if writes else [common],
+                                  help=summary)
         p.set_defaults(func=func, leaf=p)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         return p
@@ -508,12 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "Coulomb-interacting particles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = leaf(sub, "solve", cmd_solve, "closed branches for given quantum numbers")
+    p_solve = leaf(sub, "solve", cmd_solve, "closed branches for given quantum numbers",
+                   writes=True)
     p_solve.add_argument("--n", type=int, help="polynomial order (n >= 2)")
     p_solve.add_argument("--m", default="0", help="angular momentum, single or range 'a:b'")
     p_solve.add_argument("--Z", default="1", help="Coulomb coupling(s), comma-separated")
 
-    p_density = leaf(sub, "density", cmd_density, "single-particle density profiles")
+    p_density = leaf(sub, "density", cmd_density, "single-particle density profiles",
+                     writes=True)
     p_density.add_argument("--case", help="cataloged closed-form case id")
     p_density.add_argument("--n", type=int, help="polynomial order (with --m/--Z)")
     p_density.add_argument("--m", default="0")
@@ -538,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "the two agree within it, else exit 4; checked with "
                                 "every --method")
 
-    p_entropy = leaf(sub, "entropy", cmd_entropy, "information-entropy profiles and scans")
+    p_entropy = leaf(sub, "entropy", cmd_entropy, "information-entropy profiles and scans",
+                     writes=True)
     p_entropy.add_argument("--n", type=int)
     p_entropy.add_argument("--m", default="0", help="single value or range 'a:b' with --scan")
     p_entropy.add_argument("--Z", default="1", help="single value or comma list with --scan")

@@ -34,7 +34,6 @@ __all__ = [
     "DensityProfile",
     "EntropyProfile",
     "EntropySurface",
-    "PairCorrelation",
     "bessel_i",
     "closed_form_density",
     "compare_density_routes",
@@ -43,7 +42,6 @@ __all__ = [
     "entropy_density",
     "entropy_scan",
     "entropy_surface",
-    "pair_correlation",
     "total_entropy",
 ]
 
@@ -84,26 +82,6 @@ def default_grid(omega: float):
     if not omega > 0:
         raise ValueError("omega must be positive")
     return np.geomspace(1e-4, 12.0 / math.sqrt(omega), 512)
-
-
-@dataclass(frozen=True)
-class PairCorrelation:
-    """Separation distribution G(r) = u(r)^2 / (2 pi r), normalized over the plane."""
-
-    wf: RadialWavefunction
-
-    def __call__(self, r):
-        return self.wf.density_radial(r) / (2.0 * math.pi)
-
-    def total_probability(self) -> float:
-        """Integral of G over the plane (= integral of u^2 dr); 1 for a normalized state."""
-        val, _ = gauss_legendre(self.wf.u_squared, 0.0, _u2_range(self.wf), panels=1,
-                                tol_abs=1e-12, tol_rel=1e-11)
-        return float(val)
-
-
-def pair_correlation(wf: RadialWavefunction) -> PairCorrelation:
-    return PairCorrelation(wf)
 
 
 @dataclass(frozen=True)
@@ -394,13 +372,11 @@ def _entropy_pointwise(g):
     return out if out.ndim else float(out)
 
 
-def entropy_density(source, grid=None) -> EntropyProfile:
-    """Entropy-density profile S_G(r) = -G ln G with 0 ln 0 = 0.
+def entropy_density(wf: RadialWavefunction, grid=None) -> EntropyProfile:
+    """Entropy-density profile S_G(r) = -G ln G with 0 ln 0 = 0 of a radial state.
 
-    Accepts a PairCorrelation or a RadialWavefunction; raises ValueError for
-    a non-finite radius.
+    Raises ValueError for a non-finite radius.
     """
-    wf = source.wf if isinstance(source, PairCorrelation) else source
     if grid is None:
         grid = default_grid(wf.omega)
     grid = np.asarray(grid, dtype=float)

@@ -9,7 +9,8 @@ polynomial sector of eigenstates exists in closed form. The substitution
 x^2 = r turns H into the radial trap equation, giving an exact dictionary
 between the two problems. Levels outside the polynomial sector come from
 Rayleigh-Ritz on psi0 q_j(x^2), with q_j orthonormal on one Gauss rule for
-psi0^2 dx; the same rule gives the trial state's norm and residual.
+psi0^2 dx; the same rule gives the Ritz vector's node count and the trial
+state's norm and residual.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
 
 
 class NodeCountUnreachable(RuntimeError):
-    """The truncation gives no level whose eigen series has the requested number of nodes."""
+    """The truncation gives no Ritz level whose vector has the requested number of nodes."""
 
 
 class BracketError(RuntimeError):
@@ -320,19 +321,14 @@ class VariationalState:
     """The target_nodes-th Rayleigh-Ritz level on N//2 + 1 functions and the eigen series there.
 
     residual_norm is R(E_star) = ||(H - E_star) psi||^2 / ||psi||^2 for that
-    series truncated at x^N; node_count counts its zeros on (0, x_max).
+    series truncated at x^N; node_count counts the sign changes of the level's
+    Ritz vector (see variational_state).
     """
 
     E_star: float
     series: PowerSeries
     node_count: int
     residual_norm: float
-
-
-def _x_max(p: SexticParams) -> float:
-    # nodes are counted on (0, x_max): beyond it psi0^2 = x^(2m+2) exp(-sqrt(gamma) x^4 / 2)
-    # is below 1e-18, so sign changes of the trial series there carry no weight
-    return (36.0 * math.log(10.0) / math.sqrt(p.gamma)) ** 0.25 + 1.0
 
 
 def _rule(p: SexticParams, degree: int):
@@ -394,8 +390,8 @@ def rayleigh_quotient(p: SexticParams, E: float, N: int) -> float:
     return shifted / norm
 
 
-def _ritz_levels(p: SexticParams, N: int) -> np.ndarray:
-    """Rayleigh-Ritz values of H on psi0 q_j(x^2), j = 0..N//2, ascending.
+def _ritz_matrix(p: SexticParams, N: int):
+    """H on psi0 q_j(x^2), j = 0..N//2, with the q_j on the nodes of _rule and its weights.
 
     The q_j are polynomials in y = x^2, orthonormal on _rule by the discretized
     Stieltjes procedure (Gautschi 2004): q_0 is constant and b_(j+1) q_(j+1) =
@@ -403,8 +399,8 @@ def _ritz_levels(p: SexticParams, N: int) -> np.ndarray:
     the right side; its derivative carries q_j' = dq_j/dy along. They span the
     monomials x^(2j), so S = I, and as H_red = -(1/(2 psi0^2)) d/dx psi0^2 d/dx
     + A x^2, integrating by parts gives H_ij = 2 <y q_i', q_j'> + A <y q_i, q_j>.
-    The k-th value bounds the k-th level from above and is exact once the basis
-    holds the sector state (Hylleraas-Undheim, MacDonald).
+    The k-th eigenvalue of H bounds the k-th level from above and is exact once
+    the basis holds the sector state (Hylleraas-Undheim, MacDonald).
     """
     size = N // 2 + 1
     y, w = _rule(p, 2 * size)
@@ -417,15 +413,18 @@ def _ritz_levels(p: SexticParams, N: int) -> np.ndarray:
         b = math.sqrt((w * v) @ v)
         q[j + 1], dq[j + 1] = v / b, dv / b
     wy = w * y
-    return np.linalg.eigvalsh(2.0 * (dq * wy) @ dq.T + float(p.A) * (q * wy) @ q.T)
+    return 2.0 * (dq * wy) @ dq.T + float(p.A) * (q * wy) @ q.T, q, w
 
 
 def variational_state(p: SexticParams, target_nodes: int, N: int,
                       E_bracket: tuple | None = None, *, scan_points=None) -> VariationalState:
     """The level with target_nodes nodes, as a Rayleigh-Ritz value on N//2 + 1 functions.
 
-    E_star is the target_nodes-th value of _ritz_levels(p, N); the eigen series
-    through x^N at E_star must have target_nodes zeros on (0, x_max). A given
+    E_star is the target_nodes-th eigenvalue of _ritz_matrix(p, N) (eigvalsh);
+    its Ritz vector u = sum_j v_j q_j must change sign target_nodes times on
+    the rule's nodes, in ascending y, among those where |u| sqrt(w) is at least
+    1e-12 of its largest value (past them the state carries no weight, and the
+    basis functions' own tails would add spurious sign changes). A given
     E_bracket only checks that it contains E_star. scan_points is accepted and
     unused (there is no energy scan).
     """
@@ -436,18 +435,20 @@ def variational_state(p: SexticParams, target_nodes: int, N: int,
     lo, hi = (-math.inf, math.inf) if E_bracket is None else map(float, E_bracket)
     if not hi > lo:
         raise ValueError("empty bracket")
-    levels = _ritz_levels(p, N)
-    if target_nodes >= len(levels):
+    H, q, w = _ritz_matrix(p, N)
+    if target_nodes >= len(H):
         raise NodeCountUnreachable(
-            f"truncation N={N} gives {len(levels)} Ritz levels, too few for {target_nodes} nodes")
-    E_star = float(levels[target_nodes])
+            f"truncation N={N} gives {len(H)} Ritz levels, too few for {target_nodes} nodes")
+    # eigh's eigenvalues differ from eigvalsh's in the last bits, so the level comes from eigvalsh
+    E_star = float(np.linalg.eigvalsh(H)[target_nodes])
     if not lo <= E_star <= hi:
         raise BracketError(f"level {target_nodes} at E={E_star!r} lies outside [{lo!r}, {hi!r}]")
-    u_star, _, (norm, _, resid2) = _trial_state(p, E_star, N)
-    nodes = node_count(u_star, (0.0, _x_max(p)))
+    u = np.linalg.eigh(H)[1][:, target_nodes] @ q
+    weighted = np.abs(u) * np.sqrt(w)
+    nodes = int(np.count_nonzero(np.diff(np.signbit(u[weighted >= 1e-12 * weighted.max()]))))
     if nodes != target_nodes:
         raise NodeCountUnreachable(
-            f"eigen series at Ritz level {target_nodes}, E={E_star!r}, has {nodes} nodes "
-            f"at truncation N={N}")
+            f"Ritz vector {target_nodes}, E={E_star!r}, has {nodes} nodes at truncation N={N}")
+    u_star, _, (norm, _, resid2) = _trial_state(p, E_star, N)
     return VariationalState(E_star=E_star, series=u_star,
                             node_count=nodes, residual_norm=resid2 / norm)

@@ -136,6 +136,18 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "verify --out x",
+    "qes condition --n 2 --gamma 1 --out y",
+    "qes map --gamma 1 --alpha -8 --E 2 --out y",
+    "qes variational --nodes 1 --out-dir d",
+])
+def test_out_flags_only_on_commands_that_write(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv.split()[-2:])}" in err
+
+
 def test_missing_required_option(capsys):
     code, _, err = run(capsys, "solve")
     assert code == 2
@@ -484,6 +496,10 @@ def test_out_of_range_values_are_config_errors(capsys, argv):
      "--gamma, --alpha, --E would be ignored with --n (the trap side)"),
     ("density --case n2m0Zp1", "n = 3\n", "--n would be ignored with --case"),
     ("entropy --n 3 --scan", "surface = true\n", "--surface would be ignored with --scan"),
+    # only solve, density and entropy write files
+    ("verify", "out = x\n", "unknown config key 'out' for this command"),
+    ("qes condition --n 2 --gamma 1", "out-dir = d\n",
+     "unknown config key 'out-dir' for this command"),
 ])
 def test_unread_inputs_are_named(tmp_path, capsys, argv, config, named):
     # a flag or config key that the chosen mode does not read exits 2 and is named

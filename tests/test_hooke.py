@@ -168,13 +168,33 @@ def _refined_kappa(b, s_poly):
     return root if b.Z > 0 else -root
 
 
+def _positive_root_count(poly, near_roots):
+    """Positive real roots of an exact polynomial, certified by signs around float roots.
+
+    poly is evaluated exactly at 0, at the midpoints of the sorted near_roots and at
+    +-(2 max|root| + 1). If the values change sign deg times, every gap between
+    neighbouring points holds one simple root and no root lies elsewhere, so the
+    positive count is the sign changes right of 0. Otherwise the Sturm chain counts.
+    """
+    edge = 2 * max(abs(r) for r in near_roots) + 1
+    mids = [(a + b) / 2 for a, b in zip(near_roots, near_roots[1:])]
+    points = sorted({Fraction(x) for x in (-edge, 0, edge, *mids)})
+    values = [poly(x) for x in points]
+    if all(values):
+        gaps = [lo for lo, a, b in zip(points, values, values[1:]) if (a > 0) != (b > 0)]
+        if len(gaps) == poly.degree:
+            return sum(lo >= 0 for lo in gaps)
+    return sturm_count(poly, 0, math.inf)
+
+
 def _check_ladder(n, m, Z, only=None):
     """Node count of every built branch of (n, m, Z) against the ladder and an exact oracle.
 
     Repulsive branch k of B (descending omega) has B-1-k nodes, attractive
-    branch k has n-B+k. The oracle does not use the chamber: it is the Sturm
-    count of the rho-polynomial the Fraction recurrence gives at the refined
-    kappa. The roots must also give kappa = -2 sum(zeta), zeta = sqrt(omega) r.
+    branch k has n-B+k. The oracle does not use the chamber: it is the positive
+    root count of the rho-polynomial the Fraction recurrence gives at the refined
+    kappa, certified exactly around the state's own roots in rho = sqrt(omega) r.
+    The roots must also give kappa = -2 sum(zeta), zeta = sqrt(omega) r.
     """
     branches = hooke.solve_frequencies(n, m, Z)
     B = len(branches)
@@ -186,9 +206,18 @@ def _check_ladder(n, m, Z, only=None):
         kappa = _refined_kappa(b, odd if n % 2 else even)
         rho_poly = Poly(hooke.recurrence_coefficients(kappa, 2 * (n - 1), m, n))
         want = B - 1 - k if Z > 0 else n - B + k
-        assert wf.nodes == sturm_count(rho_poly, 0, math.inf) == want, (n, m, Z, k)
+        rho_roots = math.sqrt(b.omega_tilde) * wf.roots
+        assert wf.nodes == _positive_root_count(rho_poly, rho_roots.tolist()) == want, (n, m, Z, k)
         defect = abs(-2 * math.sqrt(b.omega_tilde) * math.fsum(wf.roots) - float(kappa))
         assert defect <= 1e-12 * abs(b.kappa), (n, m, Z, k, defect)
+
+
+def test_positive_root_count_certificate_and_fallback():
+    p = Poly([6, -5, -2, 1])   # (x + 2)(x - 1)(x - 3)
+    assert _positive_root_count(p, [-2.0, 1.0, 3.0]) == 2
+    # roots that miss the gaps, and a double root, leave the sign test short: Sturm counts
+    assert _positive_root_count(p, [0.5, 0.6, 0.7]) == 2
+    assert _positive_root_count(Poly([1, -2, 1]), [1.0, 1.0]) == 1
 
 
 @pytest.mark.parametrize("case", [

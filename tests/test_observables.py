@@ -59,14 +59,6 @@ def test_entropy_surface_rejects_bad_extent(extent):
         observables.entropy_surface(wf, extent=extent, points=5)
 
 
-def test_pair_correlation_normalized():
-    wf = hooke.build_wavefunction(hooke.solve_frequencies(3, 1, -1)[0])
-    pc = observables.pair_correlation(wf)
-    assert pc.total_probability() == pytest.approx(1.0, abs=1e-9)
-    r = 1.3
-    assert pc(r) == pytest.approx(wf.density_radial(r) / (2.0 * math.pi), rel=1e-14)
-
-
 def test_density_profile_guards():
     with pytest.raises(ValueError):
         observables.DensityProfile(grid=np.array([0.0, 0.0, 1.0]),

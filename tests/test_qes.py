@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import linalg, special
 
-from hookium import hooke, observables, qes
+from hookium import hooke, observables, polyops, qes
 from hookium.integrate import adaptive_quad
 from hookium.series import EulerPolynomial, MonomialOperator, PowerSeries
 
@@ -150,13 +150,18 @@ def test_residual_functional_discriminates(mapped_sector):
     assert residual_functional(2.3) > 1e-6
 
 
+def _x_max(p):
+    # past x_max, psi0^2 = x^(2m+2) exp(-sqrt(gamma) x^4 / 2) is below 1e-18
+    return (36.0 * math.log(10.0) / math.sqrt(p.gamma)) ** 0.25 + 1.0
+
+
 def _quadrature_inner(p, f, g):
     """int_0^x_max psi0^2 f g dx by adaptive quadrature over pointwise series values."""
     m, sg = float(p.m), float(p.sqrt_gamma)
     peak = max(((m + 1.0) / sg) ** 0.25, 0.3)
     val, _ = adaptive_quad(lambda x: x ** (2.0 * m + 2.0) * math.exp(-sg * x**4 / 2.0)
                            * f.evaluate(x) * g.evaluate(x),
-                           0.0, qes._x_max(p), tol_abs=1e-13, tol_rel=1e-11, limit=300,
+                           0.0, _x_max(p), tol_abs=1e-13, tol_rel=1e-11, limit=300,
                            points=[peak])
     return val
 
@@ -250,6 +255,10 @@ def test_variational_bracket_excludes_minimum(mapped_sector):
                               scan_points=9)
 
 
+def _ritz_levels(p, N):
+    return np.linalg.eigvalsh(qes._ritz_matrix(p, N)[0])
+
+
 SECTOR_GAMMAS = (Fraction(1, 4), Fraction(4, 9), Fraction(1), Fraction(9, 4), Fraction(4))
 
 
@@ -259,10 +268,21 @@ def test_variational_finds_every_sector_level(m, n):
     for gamma in SECTOR_GAMMAS:
         p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
         for k, level in enumerate(qes.sector_energies(p)):
-            for N in (12, 16, 24):
+            for N in (12, 16, 24, 40, 60):
                 vs = qes.variational_state(p, k, N)
                 assert abs(vs.E_star - level) <= 1e-8, (gamma, k, N)
                 assert vs.node_count == k, (gamma, k, N)
+
+
+def test_variational_search_builds_no_sturm_chain(monkeypatch, mapped_sector):
+    # the node count is the Ritz vector's, so no search path reaches the exact counters
+    def spy(*_):
+        raise AssertionError("variational_state reached an exact root counter")
+
+    for module, name in ((qes, "node_count"), (qes, "sturm_count"), (polyops, "sturm_count")):
+        monkeypatch.setattr(module, name, spy)
+    for k in (0, 1):
+        assert qes.variational_state(mapped_sector, k, 16).node_count == k
 
 
 # Cholesky pivots of the unit-diagonal monomial Gram matrix shrink about 5x per
@@ -297,7 +317,7 @@ def test_ritz_levels_match_per_entry_assembly(m, n):
     for gamma in SECTOR_GAMMAS:
         p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
         for N in (12, 16, 24):
-            got, want = qes._ritz_levels(p, N), _per_entry_ritz(p, N)
+            got, want = _ritz_levels(p, N), _per_entry_ritz(p, N)
             assert len(got) == len(want), (gamma, N)
             np.testing.assert_allclose(got[:n // 2 + 1], want[:n // 2 + 1], rtol=0, atol=1e-10)
 
@@ -306,13 +326,13 @@ def test_rule_rejects_m_too_close_to_minus_three_halves():
     # off the half-integers, x^(2m+2) next to 0 needs ceil(17/(2m+3)) decades; past
     # 300 the rule cannot resolve it and the levels would drift (5.2e-8 at m = -1.49)
     p = qes.SexticParams(alpha=-8.7, gamma=1.0, m=-1.49)
-    for call in (lambda: qes._ritz_levels(p, 16), lambda: qes.rayleigh_quotient(p, -1.8, 16),
+    for call in (lambda: _ritz_levels(p, 16), lambda: qes.rayleigh_quotient(p, -1.8, 16),
                  lambda: qes.variational_state(p, 0, 16)):
         with pytest.raises(ValueError, match="too close to -3/2"):
             call()
     # 284 decades: the lowest levels still match the oracle
     p = qes.SexticParams(alpha=-8.7, gamma=1.0, m=-1.47)
-    np.testing.assert_allclose(qes._ritz_levels(p, 16)[:3], _per_entry_ritz(p, 16)[:3],
+    np.testing.assert_allclose(_ritz_levels(p, 16)[:3], _per_entry_ritz(p, 16)[:3],
                                rtol=0, atol=1e-10)
 
 
@@ -327,7 +347,7 @@ def test_variational_off_sector_converges_from_above(k, level):
 
 @pytest.mark.parametrize("N", (32, 40))
 def test_variational_large_truncation_keeps_full_basis(mapped_sector, N):
-    assert len(qes._ritz_levels(mapped_sector, N)) == N // 2 + 1
+    assert len(_ritz_levels(mapped_sector, N)) == N // 2 + 1
     vs = qes.variational_state(mapped_sector, 1, N)
     assert abs(vs.E_star - 2.0) <= 1e-8
     assert vs.node_count == 1
@@ -343,7 +363,7 @@ def test_ritz_levels_match_sector_energies(m):
             levels = qes.sector_energies(p)
             scale = max(abs(E) for E in levels)
             for N in (12, 16, 24, 40, 60):
-                ritz = qes._ritz_levels(p, N)
+                ritz = _ritz_levels(p, N)
                 for k, E in enumerate(levels):
                     assert abs(ritz[k] - E) <= 1e-13 * scale, (gamma, n, N, k)
 
