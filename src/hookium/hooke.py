@@ -463,17 +463,23 @@ def _certify(wf: RadialWavefunction) -> None:
     exact coefficients and p~ = prod(1 - r / r_k) over the state's roots; it
     must be within 1e-10 of 0. This measures the float evaluation error of p
     directly, so a noisy state cannot pass by how its noise falls on the rule's
-    nodes, and roots that are not p's fail it too. That u^2 integrates to 1 is
-    the normalization's own certificate (build_wavefunction).
+    nodes, and roots that are not p's fail it too. An integral the rule cannot
+    certify fails with this certificate's message, chained to the rule's. That
+    u^2 integrates to 1 is the normalization's own certificate (build_wavefunction).
     """
     def noise(r):
         return (wf.norm**2 * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1)
                 * np.abs(wf.poly(r) ** 2 - _RootProduct(wf.roots)(r) ** 2))
-    error, _ = gauss_legendre(noise, 0.0, _u2_range(wf), panels=4, tol_abs=_NOISE_TOL, tol_rel=0.0)
+    need = f"need it within {_NOISE_TOL:.0e}"
+    try:
+        error, _ = gauss_legendre(noise, 0.0, _u2_range(wf), panels=4, tol_abs=_NOISE_TOL, tol_rel=0.0)
+    except QuadratureNonConvergence as exc:
+        raise QuadratureNonConvergence(
+            f"the state as evaluated in floats carries evaluation error the rule cannot bound; {need}"
+        ) from exc
     if not error <= _NOISE_TOL:
         raise QuadratureNonConvergence(
-            f"the state as evaluated in floats carries evaluation error {error:.3e}; "
-            f"need it within {_NOISE_TOL:.0e}")
+            f"the state as evaluated in floats carries evaluation error {error:.3e}; {need}")
 
 
 _NEWTON_STEPS = 100    # damped Newton steps allowed per chamber

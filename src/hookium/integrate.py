@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -96,13 +97,26 @@ def adaptive_quad(f, a, b, *, tol_abs=1e-12, tol_rel=1e-10, limit=300, points=No
 _MAX_PANELS = 64   # gauss_legendre doubles its panel count up to this many
 
 
+@functools.cache
+def _panel_table(panels: int):
+    """Read-only (offsets, weights) of the rule on `panels` equal panels, panel by panel.
+
+    The nodes on [a, b] are a + h * offsets with h = (b - a) / (2 panels), so
+    offsets holds 2k + 1 + x_i; weights is _GL_W repeated once per panel.
+    """
+    offsets = (2 * np.arange(panels)[:, None] + 1 + _GL_X).ravel()
+    weights = np.tile(_GL_W, panels)
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, weights
+
+
 def _panel_sum(f, a, b, panels, chunk):
     """The composite rule on `panels` equal panels, f called on `chunk` panels' nodes at a time."""
     h = 0.5 * (b - a) / panels
+    offsets, weights = _panel_table(panels)[0], _panel_table(chunk)[1]
     total = 0.0
-    for first in range(0, panels, chunk):
-        x = (a + h * (2 * np.arange(first, first + chunk)[:, None] + 1 + _GL_X)).ravel()
-        total = total + f(x) @ np.tile(_GL_W, chunk)
+    for start in range(0, offsets.size, weights.size):
+        total = total + f(a + h * offsets[start:start + weights.size]) @ weights
     return h * total
 
 
@@ -118,17 +132,20 @@ def gauss_legendre(f, a, b, *, panels, tol_abs=1e-12, tol_rel=1e-10):
     gets more nodes than the first. The finest sum is returned. The doubling
     stops at _MAX_PANELS panels, where QuadratureNonConvergence is raised
     with the last estimate. The tolerances are checked before f is called.
+    Node offsets and weights come from _panel_table, built once per panel
+    count, so a call costs f and two dot products, not their construction.
     """
     _check_tolerances(tol_abs, tol_rel)
     counts = (panels, 2 * panels)
     halves = [0.5 * (b - a) / p for p in counts]
-    nodes = [(a + h * (2 * np.arange(p)[:, None] + 1 + _GL_X)).ravel() for h, p in zip(halves, counts)]
-    values = f(np.concatenate(nodes))
-    passes = (values[..., :nodes[0].size], values[..., nodes[0].size:])
+    tables = [_panel_table(p) for p in counts]
+    values = f(np.concatenate([a + h * offsets for h, (offsets, _) in zip(halves, tables)]))
+    size = tables[0][0].size
+    passes = (values[..., :size], values[..., size:])
     # contiguous copies keep the summation order that separate calls of f had
-    coarse, fine = [h * (np.ascontiguousarray(v) @ np.tile(_GL_W, p))
-                    for h, v, p in zip(halves, passes, counts)]
-    del nodes, values, passes   # a raised QuadratureNonConvergence keeps this frame alive
+    coarse, fine = [h * (np.ascontiguousarray(v) @ weights)
+                    for h, v, (_, weights) in zip(halves, passes, tables)]
+    del values, passes   # a raised QuadratureNonConvergence keeps this frame alive
     err = np.abs(fine - coarse)
     level = counts[1]
     while level < _MAX_PANELS and not np.all(_within_budget(fine, err, tol_abs, tol_rel)):

@@ -107,11 +107,15 @@ def _angular_mean(z, tol_abs: float, tol_rel: float):
     Equals the scaled Bessel i0e(z); evaluated by the Gauss rule to give the
     density pipeline a route that never touches the Bessel implementation.
     The rule runs on s = t / t_max, with the integrand below e^-50 of its peak
-    past t_max, so its nodes follow the peak's 1/sqrt(z) width.
+    past t_max, so its nodes follow the peak's 1/sqrt(z) width. Every z <= 25
+    has t_max = pi, so a block's rows share few cut-offs: 1 - cos(t_max s) is
+    evaluated once per distinct t_max and gathered back to the rows, which
+    gives the same values as evaluating it row by row.
     """
     def f(zs, s):
-        t_max = np.arccos(np.maximum(1.0 - 50.0 / np.maximum(zs, 25.0), -1.0))
-        return t_max * np.exp(-zs * (1.0 - np.cos(t_max * s)))
+        t_max = np.arccos(np.maximum(1.0 - 50.0 / np.maximum(zs[:, 0], 25.0), -1.0))
+        t_max, rows = np.unique(t_max, return_inverse=True)
+        return t_max[rows, None] * np.exp(-zs * (1.0 - np.cos(t_max[:, None] * s))[rows])
     return _rule_rows(f, z.ravel(), 1.0, tol_abs, tol_rel).reshape(z.shape) / math.pi
 
 

@@ -299,8 +299,8 @@ def real_roots(p: Poly):
     rationals mean nothing.
 
     What remains goes to the companion matrix again (only if something was
-    deflated); roots with |imag| < 1e-10 are kept and polished by Newton steps
-    against the exact coefficients.
+    deflated and a non-constant factor is left); roots with |imag| < 1e-10 are
+    kept and polished by Newton steps against the exact coefficients.
     """
     inexact = any(isinstance(c, float) for c in p.coeffs)
     p = p.as_fractions()
@@ -324,7 +324,7 @@ def real_roots(p: Poly):
                 assert rem.is_zero()
                 P, D = _integer_form(p)
         if p.degree < degree:
-            roots = np.roots([float(c) for c in reversed(p.coeffs)])
+            roots = np.roots([float(c) for c in reversed(p.coeffs)]) if p.degree else np.empty(0)
     irrational: list[float] = []
     dP = _derivative(P)
     for z in roots:

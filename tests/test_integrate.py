@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hookium.integrate import _GL_W, _GL_X, QuadratureNonConvergence, gauss_legendre
+from hookium.integrate import _GL_W, _GL_X, QuadratureNonConvergence, _panel_table, gauss_legendre
 
 
 def _fixed_pair(f, a, b, panels):
@@ -84,6 +84,41 @@ def test_unattainable_budget_raises_at_the_cap_with_the_estimate():
         gauss_legendre(g, 0.0, 1.0, panels=1, tol_abs=1e-300, tol_rel=0.0)
     # 1 and 2 panels in the first call, then 4, 8, 16, 32 and 64: the cap
     assert sum(sizes) == 48 * (1 + 2 + 4 + 8 + 16 + 32 + 64)
+
+
+def _reference_rule(f, a, b, panels, tol_abs, tol_rel):
+    """The composite rule with nodes and weights built afresh in every sum, doubling as the rule does."""
+    value, err = _fixed_pair(f, a, b, panels)
+    level = chunk = 2 * panels
+    while level < 64 and not _within(value, err, tol_abs, tol_rel):
+        level *= 2
+        h = 0.5 * (b - a) / level
+        total = 0.0
+        for first in range(0, level, chunk):
+            x = (a + h * (2 * np.arange(first, first + chunk)[:, None] + 1 + _GL_X)).ravel()
+            total = total + f(x) @ np.tile(_GL_W, chunk)
+        value, err = h * total, np.abs(h * total - value)
+    return value, err
+
+
+@pytest.mark.parametrize("panels", [1, 4])
+def test_doubled_sum_is_bit_identical_to_fresh_nodes_and_weights(panels):
+    f = lambda x: np.cos(4 * panels * K[:, None] * x)   # noqa: E731
+    g, sizes = _recorder(f)
+    value, err = gauss_legendre(g, 0.5, 1.5, panels=panels, tol_abs=1e-13, tol_rel=1e-12)
+    want_value, want_err = _reference_rule(f, 0.5, 1.5, panels, 1e-13, 1e-12)
+    assert len(sizes) >= 1 + 2 + 4   # the first pair, then two doublings in 2 and 4 calls of f
+    assert _hex(value) == _hex(want_value)
+    assert _hex(err) == _hex(want_err)
+
+
+def test_panel_tables_are_read_only():
+    offsets, weights = _panel_table(4)
+    assert offsets.size == weights.size == 4 * 48
+    for table in (offsets, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    assert _panel_table(4)[0] is offsets
 
 
 @pytest.mark.parametrize("tol_abs, tol_rel", [

@@ -130,16 +130,32 @@ def test_density_rule_matches_adaptive_oracle(branch, beta_factor, angular):
     wf = hooke.build_wavefunction(hooke.solve_frequencies(n, m, Z)[index])
     beta = beta_factor * wf.omega
     grid = np.linspace(0.0, wf.support_radius(30.0), 13)
-    # the numeric route's normalization is a (radius x radius x angle) product that
-    # takes seconds; its values are checked, the bessel route checks the scale
     prof = observables.density_quadrature(wf, hooke.CenterOfMassState(beta=beta), grid,
-                                          angular=angular, normalize=angular == "bessel")
+                                          angular=angular)
     assert abs(prof.scale_applied - 1.0) <= 1e-12
     want = np.array([_oracle_density(wf, beta, float(r), angular) for r in grid])
     mask = want >= 1e-8 * want.max()
     assert mask.sum() >= 8
     rel = np.abs(prof.values[mask] - want[mask]) / want[mask]
     assert rel.max() <= 1e-11
+
+
+def _angular_rows(zs, s):
+    """The angular integrand with its cut-off and cosines evaluated row by row."""
+    t_max = np.arccos(np.maximum(1.0 - 50.0 / np.maximum(zs, 25.0), -1.0))
+    return t_max * np.exp(-zs * (1.0 - np.cos(t_max * s)))
+
+
+def test_angular_mean_is_bit_identical_to_row_by_row_cosines():
+    # z on both sides of 25, where the cut-off leaves pi; several row blocks, 2-D shape
+    z = np.concatenate([np.geomspace(1e-6, 5e3, 600), [25.0, np.nextafter(25.0, 0.0),
+                                                        np.nextafter(25.0, 30.0), 0.0]])
+    z = np.repeat(z, 2)[::-1].reshape(-1, 4)
+    assert (z <= 25.0).any() and (z > 25.0).any()
+    got = observables._angular_mean(z, 1e-15, 1e-12)
+    want = observables._rule_rows(_angular_rows, z.ravel(), 1.0, 1e-15, 1e-12).reshape(z.shape) / math.pi
+    assert got.shape == z.shape
+    assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
 
 
 def _panel_rule(f, b, panels):

@@ -85,6 +85,25 @@ def test_real_roots_mixed():
     assert irrational[1] == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("p, want_calls", [
+    # 6 (x - 1/2) (x - 2/3) (x + 3): deflation leaves a constant, which has no roots
+    (Poly([Fraction(2), Fraction(-7), Fraction(6)]) * Poly([Fraction(3), Fraction(1)]), [4]),
+    # (x^2 - 2)(x - 1): the quadratic left by the deflation goes to the companion matrix
+    (Poly([Fraction(2), Fraction(-2), Fraction(-1), Fraction(1)]), [4, 3]),
+], ids=["rational", "mixed"])
+def test_real_roots_companion_solves(monkeypatch, p, want_calls):
+    calls = []
+    companion = np.roots
+
+    def spy(coeffs):
+        calls.append(len(coeffs))
+        return companion(coeffs)
+    monkeypatch.setattr(np, "roots", spy)
+    rational, irrational = real_roots(p)
+    assert len(rational) + len(irrational) == p.degree
+    assert calls == want_calls
+
+
 def test_real_roots_float_coefficients_go_numeric():
     # float coefficients must not enter the rational-candidate hunt
     p = Poly([0.25, -1.25, 1.0])  # x^2 - 1.25 x + 0.25, roots 0.25 and 1
