@@ -210,7 +210,7 @@ def cmd_density(args) -> int:
             case = observables._catalog_case(args.case)
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from None
-        wf = hooke.build_wavefunction(case.branch())
+        wf = case.state
         grid = build_grid(args.grid, args.spacing, case.omega)
         case_id = case.case_id
     else:

@@ -131,7 +131,8 @@ def gauss_legendre(f, a, b, *, panels, tol_abs=1e-12, tol_rel=1e-10):
     only on the new level's nodes, 2 * panels panels at a time, so no call
     gets more nodes than the first. The finest sum is returned. The doubling
     stops at _MAX_PANELS panels, where QuadratureNonConvergence is raised
-    with the last estimate. The tolerances are checked before f is called.
+    with the last estimate; a call that converges is certified by the loop's
+    own test alone. The tolerances are checked before f is called.
     Node offsets and weights come from _panel_table, built once per panel
     count, so a call costs f and two dot products, not their construction.
     """
@@ -148,9 +149,10 @@ def gauss_legendre(f, a, b, *, panels, tol_abs=1e-12, tol_rel=1e-10):
     del values, passes   # a raised QuadratureNonConvergence keeps this frame alive
     err = np.abs(fine - coarse)
     level = counts[1]
-    while level < _MAX_PANELS and not np.all(_within_budget(fine, err, tol_abs, tol_rel)):
+    while not np.all(_within_budget(fine, err, tol_abs, tol_rel)):
+        if level >= _MAX_PANELS:
+            _check_budget(fine, err, tol_abs, tol_rel)   # raises: a row is over budget
         level *= 2
         coarse, fine = fine, _panel_sum(f, a, b, level, counts[1])
         err = np.abs(fine - coarse)
-    _check_budget(fine, err, tol_abs, tol_rel)
     return fine, err

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +120,18 @@ def _angular_mean(z, tol_abs: float, tol_rel: float):
     return _rule_rows(f, z.ravel(), 1.0, tol_abs, tol_rel).reshape(z.shape) / math.pi
 
 
+def _radii(grid) -> np.ndarray:
+    """The grid as a float array; ValueError for a negative or NaN radius.
+
+    Both convolution routes take their radii through here: the kernel's
+    i0e(beta r r') = e^(-|beta r r'|) I_0(beta r r') holds for r >= 0 only.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if not np.all(grid >= 0.0):
+        raise ValueError("density radii must be >= 0")
+    return grid
+
+
 def _convolve(wf: RadialWavefunction, beta: float, r, angular: str,
               tol_abs: float, tol_rel: float):
     """n(r) = (2 beta/pi) int u(r')^2 exp(-beta (r - r'/2)^2) i0e(beta r r') dr' on an ndarray r.
@@ -149,11 +162,7 @@ def density_quadrature(wf: RadialWavefunction, cm: CenterOfMassState, grid=None,
     requested tolerance cannot be met by 64 panels, and ValueError for a
     negative radius (the convolution holds for r >= 0 only).
     """
-    if grid is None:
-        grid = default_grid(wf.omega)
-    grid = np.asarray(grid, dtype=float)
-    if not np.all(grid >= 0.0):
-        raise ValueError("density radii must be >= 0")
+    grid = _radii(default_grid(wf.omega) if grid is None else grid)
     values = _convolve(wf, cm.beta, grid, angular, tol_abs, tol_rel)
     scale = 1.0
     if normalize:
@@ -174,11 +183,15 @@ class ClosedFormDensityCase:
     value(r) = exp(-gauss r^2) * [Pe(r^2) + sign sqrt(root_factor pi)
                (P0(r^2) i0e(bessel_scale r^2) + P1(r^2) i1e(bessel_scale r^2))],
     already rewritten with scaled Bessels sharing one Gaussian, so it is finite
-    for every r. Prefactors are unnormalized; normalization is applied on
-    evaluation. branch_Z records the Coulomb sign of the wavefunction whose
-    convolved density the expression reproduces; for n3m0Zp1 that is Z = -1
-    even though the case id carries the conventional +1 label (the id is kept
-    verbatim; the comparison pipeline pairs it with the matching branch).
+    for every r. Prefactors are unnormalized; `scale` normalizes them.
+    branch_Z records the Coulomb sign of the wavefunction whose convolved
+    density the expression reproduces; for n3m0Zp1 that is Z = -1 even though
+    the case id carries the conventional +1 label (the id is kept verbatim;
+    the comparison pipeline pairs it with the matching branch).
+
+    `state` and `scale` are constants of the case, computed on first read and
+    kept on the instance, so every reader in a process shares one solve, one
+    build and one normalization integral per case.
     """
 
     case_id: str
@@ -217,6 +230,19 @@ class ClosedFormDensityCase:
     def branch(self) -> QuantizationBranch:
         return solve_frequencies(self.n, self.m, self.branch_Z)[0]
 
+    @cached_property
+    def state(self) -> RadialWavefunction:
+        """The normalized state of the matching branch, built on first read."""
+        return build_wavefunction(self.branch())
+
+    @cached_property
+    def scale(self) -> float:
+        """2 / int 2 pi r raw(r) dr: the factor that normalizes raw to 2 particles."""
+        total, _ = gauss_legendre(lambda r: 2.0 * math.pi * r * self.raw(r), 0.0,
+                                  math.sqrt(140.0 / self.gauss), panels=1,
+                                  tol_abs=1e-12, tol_rel=1e-11)
+        return 2.0 / float(total)
+
 
 CATALOG: dict[str, ClosedFormDensityCase] = {
     c.case_id: c for c in (
@@ -252,15 +278,15 @@ def _catalog_case(case) -> ClosedFormDensityCase:
 
 
 def closed_form_density(case, grid=None) -> DensityProfile:
-    """Evaluate a cataloged expression on the grid, normalized to 2 particles."""
+    """Evaluate a cataloged expression on the grid, normalized to 2 particles.
+
+    The normalization is the case's `scale`, integrated once per case.
+    """
     case = _catalog_case(case)
     if grid is None:
         grid = default_grid(case.omega)
     grid = np.asarray(grid, dtype=float)
-    total, _ = gauss_legendre(lambda r: 2.0 * math.pi * r * case.raw(r), 0.0,
-                              math.sqrt(140.0 / case.gauss), panels=1,
-                              tol_abs=1e-12, tol_rel=1e-11)
-    scale = 2.0 / float(total)
+    scale = case.scale
     return DensityProfile(grid=grid, values=case.raw(grid) * scale,
                           normalization_target=2.0, method="closed-form",
                           beta=None, scale_applied=scale)
@@ -335,16 +361,15 @@ def compare_density_routes(case, grid=None, *, fit_width: bool = True,
     density is at least 1e-8 of its peak. fit_width adds the CM width fitted
     to the closed form as its own report (fit), with no further convolution.
     tol_abs and tol_rel are the convolution's budget, as in density_quadrature.
+    The state and the closed form's normalization are the case's own (`state`,
+    `scale`), computed once per case, so a call convolves and evaluates only.
+    Raises ValueError for a negative radius, before any work.
     """
     case = _catalog_case(case)
-    if grid is None:
-        grid = np.linspace(0.0, 8.0, 81)
-    grid = np.asarray(grid, dtype=float)
-    wf = build_wavefunction(case.branch())
+    grid = _radii(np.linspace(0.0, 8.0, 81) if grid is None else grid)
+    wf = case.state
     closed = closed_form_density(case, grid)
-    scale = closed.scale_applied
-
-    fit = fit_cm_width(wf, lambda r: case.raw(r) * scale) if fit_width else None
+    fit = fit_cm_width(wf, lambda r: case.raw(r) * case.scale) if fit_width else None
     quad_vals = _convolve(wf, wf.omega, grid, angular, tol_abs, tol_rel)
     peak = quad_vals.max()
     mask = quad_vals >= 1e-8 * peak

@@ -140,9 +140,8 @@ def _check_normalization():
 
 def _check_density_conservation():
     case = observables.CATALOG["n2m1Zp1"]
-    wf = hooke.build_wavefunction(case.branch())
     cm = hooke.CenterOfMassState(beta=float(case.omega))
-    prof = observables.density_quadrature(wf, cm, np.linspace(0.5, 2.5, 3))
+    prof = observables.density_quadrature(case.state, cm, np.linspace(0.5, 2.5, 3))
     # the convolution preserves the two-particle norm, so no rescaling is needed
     return _result("density-norm-conserved", abs(prof.scale_applied - 1.0) < 1e-6,
                    f"scale={prof.scale_applied!r}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hookium import integrate
 from hookium.integrate import _GL_W, _GL_X, QuadratureNonConvergence, _panel_table, gauss_legendre
 
 
@@ -84,6 +85,19 @@ def test_unattainable_budget_raises_at_the_cap_with_the_estimate():
         gauss_legendre(g, 0.0, 1.0, panels=1, tol_abs=1e-300, tol_rel=0.0)
     # 1 and 2 panels in the first call, then 4, 8, 16, 32 and 64: the cap
     assert sum(sizes) == 48 * (1 + 2 + 4 + 8 + 16 + 32 + 64)
+
+
+@pytest.mark.parametrize("f, doubles", [(np.exp, False), (lambda x: np.cos(K[:, None] * x), True)],
+                         ids=["first-pair", "doubled"])
+def test_converged_call_never_reaches_check_budget(f, doubles, monkeypatch):
+    # the doubling loop's verdict certifies a converged call; only a call left over budget re-checks
+    def check(*args):
+        raise AssertionError("_check_budget ran")
+    monkeypatch.setattr(integrate, "_check_budget", check)
+    g, sizes = _recorder(f)
+    value, err = gauss_legendre(g, 0.0, 1.0, panels=1, tol_abs=1e-13, tol_rel=1e-12)
+    assert _within(value, err, 1e-13, 1e-12)
+    assert (len(sizes) > 1) == doubles
 
 
 def _reference_rule(f, a, b, panels, tol_abs, tol_rel):

@@ -1,5 +1,10 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,8 @@ import scipy.integrate
 import scipy.special
 
 from hookium import hooke, observables
-from hookium.integrate import _GL_W, _GL_X, QuadratureNonConvergence, adaptive_quad
+from hookium.integrate import (_GL_W, _GL_X, QuadratureNonConvergence, adaptive_quad,
+                               gauss_legendre)
 
 
 def bessel_series(order: int, x: Fraction, terms: int = 40) -> float:
@@ -231,6 +237,66 @@ def test_compare_density_routes_tight():
                                              fit_width=False)
     assert cmp.max_rel_deviation < 1e-12
     assert cmp.beta_used == pytest.approx(0.5)
+
+
+def test_compare_density_routes_rejects_negative_radii():
+    # i0e(z) = e^(-|z|) I0(z) makes the Bessel kernel wrong for r < 0, so both routes refuse it
+    for grid in ([-1.0, 0.0, 1.0], [0.0, math.nan]):
+        with pytest.raises(ValueError, match="density radii must be >= 0"):
+            observables.compare_density_routes("n2m0Zp1", grid, fit_width=False)
+
+
+@pytest.mark.parametrize("case_id", sorted(observables.CATALOG))
+def test_catalog_case_solves_builds_and_normalizes_once(case_id, monkeypatch):
+    case = dataclasses.replace(observables.CATALOG[case_id])   # a copy with nothing cached
+    calls = {"solve": 0, "build": 0, "norm": 0}
+
+    def spy(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def rule(f, a, b, **kwargs):
+        calls["norm"] += b == math.sqrt(140.0 / case.gauss)
+        return gauss_legendre(f, a, b, **kwargs)
+
+    monkeypatch.setattr(observables, "solve_frequencies", spy("solve", hooke.solve_frequencies))
+    monkeypatch.setattr(observables, "build_wavefunction", spy("build", hooke.build_wavefunction))
+    monkeypatch.setattr(observables, "gauss_legendre", rule)
+    grid = np.linspace(0.0, 4.0, 5)
+    for _ in range(2):
+        for angular in ("bessel", "numeric"):
+            observables.compare_density_routes(case, grid, fit_width=False, angular=angular)
+        observables.closed_form_density(case, grid)
+    assert calls == {"solve": 1, "build": 1, "norm": 1}
+
+
+@pytest.mark.parametrize("case_id", sorted(observables.CATALOG))
+def test_catalog_case_state_and_scale_are_the_fresh_ones(case_id):
+    case = dataclasses.replace(observables.CATALOG[case_id])
+    fresh = hooke.build_wavefunction(case.branch())
+    assert case.state.norm.hex() == fresh.norm.hex()
+    assert [x.hex() for x in case.state.roots.tolist()] == [x.hex() for x in fresh.roots.tolist()]
+    assert case.state.poly.coeffs == fresh.poly.coeffs
+    assert case.state is case.state
+    total, _ = gauss_legendre(lambda r: 2.0 * math.pi * r * case.raw(r), 0.0,
+                              math.sqrt(140.0 / case.gauss), panels=1,
+                              tol_abs=1e-12, tol_rel=1e-11)
+    prof = observables.closed_form_density(case, np.array([0.0, 1.0]))
+    assert prof.scale_applied.hex() == (2.0 / float(total)).hex()
+
+
+def test_cold_import_builds_no_catalog_state():
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import hookium.cli\n"
+            "from hookium.observables import CATALOG\n"
+            "print(sorted(k for c in CATALOG.values() for k in vars(c) if k in ('state', 'scale')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    assert out == "[]\n"
 
 
 # fit_cm_width's result on each catalog case (Brent to 1e-7 omega); the fit is a
