@@ -11,15 +11,11 @@ energies outside the polynomial sector.
 
 from .hooke import (
     CenterOfMassState,
-    EnergyRecord,
     EquilibriumError,
-    HookeParams,
-    InconsistentParams,
     NoBranchError,
     QuantizationBranch,
     RadialWavefunction,
     build_wavefunction,
-    energies,
     oscillator_branch,
     quantization_polynomial,
     solve_frequencies,
@@ -81,14 +77,11 @@ __all__ = [
     "CmWidthFit",
     "DensityComparison",
     "DensityProfile",
-    "EnergyRecord",
     "EquilibriumError",
     "EntropyProfile",
     "EntropyScanRow",
     "EntropySurface",
     "HookeEquivalence",
-    "HookeParams",
-    "InconsistentParams",
     "InverseMap",
     "NoBranchError",
     "NodeCountUnreachable",
@@ -106,7 +99,6 @@ __all__ = [
     "condition_residual",
     "default_grid",
     "density_quadrature",
-    "energies",
     "entropy_density",
     "entropy_scan",
     "entropy_surface",

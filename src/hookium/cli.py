@@ -6,9 +6,10 @@ forms), entropy (radial profiles, Cartesian surfaces, frequency scans), qes
 (the sextic-oscillator dictionary and variational estimator), and verify (the
 named consistency suite).
 
-Exit codes: 0 success, 1 failed verification, 2 bad usage, configuration or
-out-of-range value, 3 no closed branch for the requested quantum numbers,
-4 quadrature tolerance not reachable, 5 variational search failure.
+Exit codes: 0 success, 1 failed verification, 2 bad usage, configuration,
+out-of-range value or unwritable output, 3 no closed branch for the requested
+quantum numbers, 4 quadrature tolerance not reachable, 5 variational search
+failure.
 """
 
 from __future__ import annotations
@@ -629,8 +630,12 @@ def main(argv=None) -> int:
     except (qes.NodeCountUnreachable, qes.BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH
-    except ValueError as exc:  # ConfigError, InconsistentParams, values outside the domain
+    except ValueError as exc:  # ConfigError, values outside the domain
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

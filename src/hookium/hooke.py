@@ -26,15 +26,11 @@ from .series import EulerPolynomial, MonomialOperator
 
 __all__ = [
     "CenterOfMassState",
-    "EnergyRecord",
     "EquilibriumError",
-    "HookeParams",
-    "InconsistentParams",
     "NoBranchError",
     "QuantizationBranch",
     "RadialWavefunction",
     "build_wavefunction",
-    "energies",
     "hooke_series_operator",
     "oscillator_branch",
     "quantization_polynomial",
@@ -48,40 +44,8 @@ class NoBranchError(LookupError):
     """No admissible frequency exists for the requested (n, m, Z)."""
 
 
-class InconsistentParams(ValueError):
-    """Trap parameters disagree with the branch they are paired with."""
-
-
 class EquilibriumError(ArithmeticError):
     """A chamber's Stieltjes equilibrium did not converge, or its roots miss the branch's kappa."""
-
-
-@dataclass(frozen=True)
-class HookeParams:
-    """Trap configuration: coupling Z, angular quantum number m, frequencies.
-
-    omega0 is the confinement frequency and omegaL the Larmor frequency of a
-    perpendicular field; the radial problem only sees their quadrature sum
-    through omega_tilde = sqrt(omegaL**2 + omega0**2) / 2.
-    """
-
-    Z: float
-    m: int
-    omega0: float
-    omegaL: float = 0.0
-
-    @property
-    def omega_tilde(self) -> float:
-        return 0.5 * math.sqrt(self.omegaL**2 + self.omega0**2)
-
-    @classmethod
-    def for_branch(cls, branch: "QuantizationBranch", omegaL: float = 0.0) -> "HookeParams":
-        """Trap that realizes the branch frequency at the given field."""
-        disc = 4.0 * branch.omega_tilde**2 - omegaL**2
-        if disc < 0:
-            raise InconsistentParams("omegaL alone exceeds the branch frequency")
-        return cls(Z=branch.Z, m=int(branch.m) if float(branch.m).is_integer() else branch.m,
-                   omega0=math.sqrt(disc), omegaL=omegaL)
 
 
 _NO_ROOTS = np.empty(0)
@@ -120,11 +84,6 @@ class QuantizationBranch:
     @property
     def m_abs(self):
         return abs(self.m)
-
-    @property
-    def eps_prime(self):
-        """Dimensionless level 2 (n + |m|): the radial eigenvalue in units of omega_tilde / 2."""
-        return 2 * (self.n + self.m_abs)
 
     @property
     def eps_rel(self) -> float:
@@ -235,6 +194,9 @@ def _branch_from_s(n, m, Z, s_exact: Fraction | None, s_float: float, chamber: i
             omega_exact = Fraction(Z) ** 2 / s_exact
     kappa = math.copysign(math.sqrt(s_float), Z)
     omega = Z * Z / s_float
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega_tilde = Z^2 / kappa^2 must be positive and finite, "
+                         f"got {omega!r} at Z = {float(Z)!r}")
     return QuantizationBranch(n=n, m=m, Z=float(Z), kappa=kappa, omega_tilde=omega,
                               kappa_sq_exact=s_exact, omega_exact=omega_exact, chamber=chamber)
 
@@ -289,9 +251,9 @@ def oscillator_branch(m, omega_tilde) -> QuantizationBranch:
 class CenterOfMassState:
     """Gaussian center-of-mass ground state, |xi(R)|^2 = (beta/pi) exp(-beta R^2).
 
-    The width parameter is kept explicit: the trap convention fixes
-    beta = omega_R = 2 omega0 (4 omega_tilde at zero field), but density
-    comparisons fit beta rather than assume it.
+    The width parameter is kept explicit: the convention for the ground
+    center-of-mass mode is beta = 4 omega_tilde, but density comparisons fit
+    beta rather than assume it.
     """
 
     beta: float
@@ -299,10 +261,6 @@ class CenterOfMassState:
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
-
-    @classmethod
-    def from_trap(cls, params: HookeParams) -> "CenterOfMassState":
-        return cls(beta=2.0 * params.omega0)
 
     def probability(self, R):
         R = np.asarray(R, dtype=float)
@@ -647,31 +605,3 @@ def verify_branch(wf: RadialWavefunction, grid=None) -> float:
     hu = hu + (cf / (r * r) + 0.5 * wf.omega**2 * r * r + wf.Z / (2.0 * r)) * u
     err, size = np.abs(hu - wf.eps_rel * u), np.abs(u)
     return float(max(np.max(err) / np.max(size), np.max(err[:core]) / np.max(size[:core])))
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """Energy bookkeeping for one branch inside a full two-particle state."""
-
-    eps_rel: float        # radial eigenvalue: omega_tilde * (n + |m|)
-    eps: float            # eps_rel + m * omegaL / 2
-    eps_rel_doubled: float  # 2 * eps_rel; the convention in which n=2 reads Z^2 (|m|+2)/(2|m|+1)
-    e_cm: float           # center-of-mass oscillator energy omega_R * (cm_quanta + 1)
-    e_total: float        # 2 * eps + e_cm / 2
-    cm_quanta: int
-
-
-def energies(branch: QuantizationBranch, params: HookeParams, cm_quanta: int = 0) -> EnergyRecord:
-    """Assemble the level energies; params must realize the branch frequency."""
-    if cm_quanta < 0:
-        raise ValueError("cm_quanta must be >= 0")
-    if abs(params.omega_tilde - branch.omega_tilde) > 1e-12 * max(1.0, branch.omega_tilde):
-        raise InconsistentParams(
-            f"params omega_tilde = {params.omega_tilde!r} but branch needs {branch.omega_tilde!r}"
-        )
-    eps_rel = branch.eps_rel
-    eps = eps_rel + 0.5 * params.m * params.omegaL
-    omega_R = 2.0 * params.omega0
-    e_cm = omega_R * (cm_quanta + 1)
-    return EnergyRecord(eps_rel=eps_rel, eps=eps, eps_rel_doubled=2.0 * eps_rel,
-                        e_cm=e_cm, e_total=2.0 * eps + 0.5 * e_cm, cm_quanta=cm_quanta)

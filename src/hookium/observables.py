@@ -222,10 +222,8 @@ class ClosedFormDensityCase:
 
     @property
     def omega(self) -> float:
-        """Trap frequency of the matching branch."""
-        if self.n == 2:
-            return 1.0 / (2 * (2 * self.m + 1))
-        return 1.0 / (4 * (4 * self.m + 3))
+        """Relative-motion frequency of the matching branch, read off its state."""
+        return self.state.omega
 
     def branch(self) -> QuantizationBranch:
         return solve_frequencies(self.n, self.m, self.branch_Z)[0]
@@ -300,10 +298,6 @@ class CmWidthFit:
     beta_convention: float
     objective: float
 
-    @property
-    def matches_convention(self) -> bool:
-        return abs(self.beta - self.beta_convention) <= 1e-3 * self.beta_convention
-
 
 def fit_cm_width(wf: RadialWavefunction, reference) -> CmWidthFit:
     """Width beta that best matches `reference(r)` (a normalized density callable).
@@ -315,7 +309,7 @@ def fit_cm_width(wf: RadialWavefunction, reference) -> CmWidthFit:
     the parabolic steps converge, where its square root would have a V-shaped
     minimum that leaves only golden-section steps. objective is the relative
     RMS deviation at the fitted beta; the convention value beta = 4 omega_tilde
-    (the trap's CM ground-state width at zero field) is reported alongside.
+    (the ground center-of-mass width) is reported alongside.
     Raises ValueError when a sample is not finite or none is positive.
     """
     pts = np.linspace(0.0, 6.0, 25)

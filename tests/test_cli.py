@@ -450,6 +450,9 @@ def test_separated_negative_nonfinite_values_reach_domain_checks(capsys, argv, m
     "qes variational --nodes 1 --sextic-m -2 --bracket 0:3",
     "solve --n 2 --Z nan",
     "solve --n 2 --Z inf",
+    # couplings whose branch frequency Z^2 / kappa^2 underflows to 0 or overflows to inf
+    *(f"{cmd} --Z {Z}" for Z in ("1e-200", "1e200") for cmd in (
+        "solve --n 2", "entropy --n 2", "entropy --n 5", "density --n 2", "qes map --n 2")),
     "qes variational --nodes 1 --alpha nan",
     "qes map --gamma 1 --alpha abc --E 1",
     "qes map --gamma 1 --alpha 1 --E abc",
@@ -508,3 +511,24 @@ def test_unread_inputs_are_named(tmp_path, capsys, argv, config, named):
         (tmp_path / "c.cfg").write_text(config)
         extra = ["--config", str(tmp_path / "c.cfg")]
     assert run(capsys, *argv.split(), *extra) == (2, "", f"error: {named}\n")
+
+
+@pytest.mark.parametrize("spelling", ["flag", "env"])
+def test_unwritable_out_dir_exits_2(tmp_path, spelling):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # an output directory that names an existing file, as a flag or from the environment
+    argv = ["solve", "--n", "2", "--out", "x"]
+    argv += ["--out-dir", str(blocker)] if spelling == "flag" else []
+    env = {"HOOKIUM_OUT_DIR": str(blocker)} if spelling == "env" else {}
+    proc = subprocess.run([sys.executable, "-m", "hookium", *argv], capture_output=True,
+                          text=True, env=_fresh_env(**env), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_readme_library_block_runs():
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md ## Library", "exec"), {})
