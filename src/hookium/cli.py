@@ -52,15 +52,18 @@ class ConfigError(ValueError):
 def parse_rational(text):
     """Fraction for exact-friendly inputs ('4/9', '0.5', '2'), float otherwise."""
     try:
-        return Fraction(str(text))
+        value = Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         try:
             value = float(text)
         except ValueError:
             raise ConfigError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"not a finite number: {text!r}")
-    return value
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:   # a Fraction such as 1e400, beyond the float range
+        pass
+    raise ConfigError(f"not a finite number: {text!r}")
 
 
 def parse_int_range(spec) -> list[int]:
@@ -129,7 +132,7 @@ def _single(values, flag):
 
 
 def _resolve_branch(n, m, Z, omega, index):
-    """One quantization branch, or the Coulomb-free Gaussian when Z = 0."""
+    """One quantization branch, or the Coulomb-free Gaussian when Z = 0; no roots solved."""
     if Z == 0:
         if omega is None:
             raise ConfigError("Z = 0 has no closure condition; pass --omega")
@@ -142,7 +145,7 @@ def _resolve_branch(n, m, Z, omega, index):
     if not 0 <= index < len(branches):
         raise ConfigError(f"branch index {index} out of range; "
                           f"{len(branches)} branch(es) for n={n}, m={m}, Z={Z}")
-    return hooke._with_roots([branches[index]])[0]   # roots for this branch alone
+    return branches[index]
 
 
 def _unread(args, names, context):
@@ -220,7 +223,7 @@ def cmd_density(args) -> int:
         branch = _resolve_branch(args.n, _single(parse_int_range(args.m), "--m"),
                                  _single(parse_number_list(args.Z), "--Z"),
                                  args.omega, args.branch)
-        wf = hooke.build_wavefunction(branch)
+        wf = hooke.build_wavefunction(hooke._with_roots([branch])[0])   # this chamber alone
         grid = build_grid(args.grid, args.spacing, wf.omega)
         case = None
         case_id = None
@@ -304,7 +307,7 @@ def cmd_entropy(args) -> int:
     m = _single(parse_int_range(args.m), "--m")
     Z = _single(parse_number_list(args.Z), "--Z")
     branch = _resolve_branch(args.n, m, Z, args.omega, args.branch)
-    wf = hooke.build_wavefunction(branch)
+    wf = hooke.build_wavefunction(hooke._with_roots([branch])[0])   # this chamber alone
     grid = build_grid(args.grid, args.spacing, wf.omega)
     profile = observables.entropy_density(wf, grid)
     # the surface is checked and computed before any line is printed

@@ -31,10 +31,8 @@ __all__ = [
     "QuantizationBranch",
     "RadialWavefunction",
     "build_wavefunction",
-    "hooke_series_operator",
     "oscillator_branch",
     "quantization_polynomial",
-    "recurrence_coefficients",
     "solve_frequencies",
     "verify_branch",
 ]
@@ -192,12 +190,17 @@ def _branch_from_s(n, m, Z, s_exact: Fraction | None, s_float: float, chamber: i
         s_float = float(s_exact)
         if _is_rational(Z):
             omega_exact = Fraction(Z) ** 2 / s_exact
-    kappa = math.copysign(math.sqrt(s_float), Z)
-    omega = Z * Z / s_float
+    z, omega = (math.inf if Z > 0 else -math.inf), math.inf
+    try:
+        z = float(Z)
+        omega = Z * Z / s_float
+    except OverflowError:   # an int or Fraction Z whose Z or Z^2 is beyond the float range
+        pass
     if not 0 < omega < math.inf:
         raise ValueError(f"omega_tilde = Z^2 / kappa^2 must be positive and finite, "
-                         f"got {omega!r} at Z = {float(Z)!r}")
-    return QuantizationBranch(n=n, m=m, Z=float(Z), kappa=kappa, omega_tilde=omega,
+                         f"got {omega!r} at Z = {z!r}")
+    kappa = math.copysign(math.sqrt(s_float), Z)
+    return QuantizationBranch(n=n, m=m, Z=z, kappa=kappa, omega_tilde=omega,
                               kappa_sq_exact=s_exact, omega_exact=omega_exact, chamber=chamber)
 
 

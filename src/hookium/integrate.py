@@ -9,7 +9,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-__all__ = ["QuadratureNonConvergence", "adaptive_quad", "gauss_legendre"]
+__all__ = ["QuadratureNonConvergence", "adaptive_quad"]
 
 
 def _legendre_rule(n: int):

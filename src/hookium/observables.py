@@ -34,6 +34,7 @@ __all__ = [
     "DensityComparison",
     "DensityProfile",
     "EntropyProfile",
+    "EntropyScanRow",
     "EntropySurface",
     "bessel_i",
     "closed_form_density",
@@ -43,6 +44,7 @@ __all__ = [
     "entropy_density",
     "entropy_scan",
     "entropy_surface",
+    "fit_cm_width",
     "total_entropy",
 ]
 
@@ -121,14 +123,14 @@ def _angular_mean(z, tol_abs: float, tol_rel: float):
 
 
 def _radii(grid) -> np.ndarray:
-    """The grid as a float array; ValueError for a negative or NaN radius.
+    """The grid as a float array; ValueError for a negative, NaN or infinite radius.
 
-    Both convolution routes take their radii through here: the kernel's
+    Every profile takes its radii through here: the convolution kernel's
     i0e(beta r r') = e^(-|beta r r'|) I_0(beta r r') holds for r >= 0 only.
     """
     grid = np.asarray(grid, dtype=float)
-    if not np.all(grid >= 0.0):
-        raise ValueError("density radii must be >= 0")
+    if not np.all((grid >= 0.0) & (grid < math.inf)):
+        raise ValueError("density radii must be >= 0 and finite")
     return grid
 
 
@@ -160,7 +162,7 @@ def density_quadrature(wf: RadialWavefunction, cm: CenterOfMassState, grid=None,
     Gauss-Legendre rule, from one panel against two, doubled until two
     successive panel counts agree; raises QuadratureNonConvergence when the
     requested tolerance cannot be met by 64 panels, and ValueError for a
-    negative radius (the convolution holds for r >= 0 only).
+    negative or non-finite radius (the convolution holds for r >= 0 only).
     """
     grid = _radii(default_grid(wf.omega) if grid is None else grid)
     values = _convolve(wf, cm.beta, grid, angular, tol_abs, tol_rel)
@@ -281,9 +283,7 @@ def closed_form_density(case, grid=None) -> DensityProfile:
     The normalization is the case's `scale`, integrated once per case.
     """
     case = _catalog_case(case)
-    if grid is None:
-        grid = default_grid(case.omega)
-    grid = np.asarray(grid, dtype=float)
+    grid = _radii(default_grid(case.omega) if grid is None else grid)
     scale = case.scale
     return DensityProfile(grid=grid, values=case.raw(grid) * scale,
                           normalization_target=2.0, method="closed-form",
@@ -357,7 +357,7 @@ def compare_density_routes(case, grid=None, *, fit_width: bool = True,
     tol_abs and tol_rel are the convolution's budget, as in density_quadrature.
     The state and the closed form's normalization are the case's own (`state`,
     `scale`), computed once per case, so a call convolves and evaluates only.
-    Raises ValueError for a negative radius, before any work.
+    Raises ValueError for a negative or non-finite radius, before any work.
     """
     case = _catalog_case(case)
     grid = _radii(np.linspace(0.0, 8.0, 81) if grid is None else grid)
@@ -398,13 +398,9 @@ def _entropy_pointwise(g):
 def entropy_density(wf: RadialWavefunction, grid=None) -> EntropyProfile:
     """Entropy-density profile S_G(r) = -G ln G with 0 ln 0 = 0 of a radial state.
 
-    Raises ValueError for a non-finite radius.
+    Raises ValueError for a negative or non-finite radius.
     """
-    if grid is None:
-        grid = default_grid(wf.omega)
-    grid = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("entropy radii must be finite")
+    grid = _radii(default_grid(wf.omega) if grid is None else grid)
     vals = _entropy_pointwise(wf.density_radial(grid))
     return EntropyProfile(grid=grid, values=vals, total=total_entropy(wf))
 

@@ -34,6 +34,7 @@ __all__ = [
     "SexticParams",
     "SexticWavefunction",
     "VariationalState",
+    "condition_residual",
     "hooke_state_to_sextic",
     "map_from_hooke",
     "map_to_hooke",

@@ -94,6 +94,12 @@ def test_cli_solves_only_the_chambers_it_reads(capsys, monkeypatch):
                                         "eps_rel_doubled"), rows)
     code, _, _ = run(capsys, "entropy", "--n", "8", "--m", "0", "--Z", "-1", "--branch", "1")
     assert code == 0 and solved == [[branches[1].chamber]]
+    # the sextic image reads the frequency alone, so no chamber is solved for it
+    code, out, _ = run(capsys, "qes", "map", "--n", "8", "--m", "0", "--Z", "-1", "--branch", "1")
+    assert code == 0 and solved == [[branches[1].chamber]]
+    assert out == ("omega = 0.019090873558796944\nZ = -1\neps_rel = 0.15272698847037555\n"
+                   "gamma = 0.0014578458129518891\nalpha = -1.2218159077630044\nE = 2\n"
+                   "sextic_m = -0.5\ninteger_sextic_m = no\n")
 
 
 def test_cli_import_skips_scipy_optimize_and_integrate():
@@ -475,6 +481,13 @@ def test_separated_negative_nonfinite_values_reach_domain_checks(capsys, argv, m
     "qes variational --nodes 0 --alpha -8.7 --sextic-m -1.49",
     "density --case n2m0Zp1 --method both --grid 0:4:3 --beta 2",
     "density --case n2m0Zp1 --method closed --grid 0:4:3 --beta 2",
+    # exact numbers beyond the float range
+    "solve --n 2 --Z 1e400",
+    "entropy --n 2 --Z 1e400",
+    "density --n 1 --Z 0 --omega 1e400",
+    "qes condition --n 2 --gamma 1e999",
+    "qes map --gamma 1e400 --alpha -8 --E 2",
+    "qes variational --nodes 1 --alpha 1e400",
     # inputs that the chosen mode does not read
     "density --case n2m0Zp1 --n 3 --Z -1",
     "entropy --scan --n 3 --m 0:1 --Z 1 --surface --branch 2 --grid 0:1:3",
@@ -486,10 +499,9 @@ def test_separated_negative_nonfinite_values_reach_domain_checks(capsys, argv, m
 def test_out_of_range_values_are_config_errors(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and "Traceback" not in err
     if "abc" in argv.split():
         assert err == "error: not a number: 'abc'\n"
-
 
 @pytest.mark.parametrize("argv, config, named", [
     ("density --case n2m0Zp1 --n 3 --Z -1", "", "--n, --Z would be ignored with --case"),

@@ -601,7 +601,14 @@ def test_center_of_mass_width_must_be_finite_and_positive(value):
         hooke.CenterOfMassState(beta=value)
 
 
-@pytest.mark.parametrize("n, Z", [(2, 1e-200), (2, 1e200), (5, -1e-170), (5, -1e200)])
+@pytest.mark.parametrize("n, Z", [
+    (2, 1e-200), (2, 1e200), (5, -1e-170), (5, -1e200),
+    # an int or Fraction whose Z or Z^2 no float holds
+    pytest.param(2, 10**200, id="2-int-1e200"),
+    pytest.param(2, Fraction(10**200), id="2-Fraction-1e200"),
+    pytest.param(2, -10**400, id="2-int--1e400"),
+    pytest.param(5, Fraction(10**400, 3), id="5-Fraction-1e400/3"),
+])
 def test_branch_frequency_outside_float_range_is_rejected(n, Z):
     # omega_tilde = Z^2 / kappa^2 underflows to 0 or overflows to inf
     with pytest.raises(ValueError, match="must be positive and finite"):

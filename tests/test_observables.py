@@ -246,6 +246,20 @@ def test_compare_density_routes_rejects_negative_radii():
             observables.compare_density_routes("n2m0Zp1", grid, fit_width=False)
 
 
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("profile", [
+    lambda wf, grid: observables.density_quadrature(wf, hooke.CenterOfMassState(beta=0.5), grid),
+    lambda wf, grid: observables.closed_form_density("n2m0Zp1", grid),
+    lambda wf, grid: observables.compare_density_routes("n2m0Zp1", grid, fit_width=False),
+    lambda wf, grid: observables.entropy_density(wf, grid),
+], ids=["density_quadrature", "closed_form_density", "compare_density_routes", "entropy_density"])
+def test_profiles_reject_negative_and_nonfinite_radii(profile, radius):
+    # one radius check for all four profiles: finite and >= 0
+    wf = observables.CATALOG["n2m0Zp1"].state
+    with pytest.raises(ValueError, match="density radii must be >= 0"):
+        profile(wf, [0.0, radius, 1.0])
+
+
 @pytest.mark.parametrize("case_id", sorted(observables.CATALOG))
 def test_catalog_case_solves_builds_and_normalizes_once(case_id, monkeypatch):
     case = dataclasses.replace(observables.CATALOG[case_id])   # a copy with nothing cached
