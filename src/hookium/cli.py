@@ -82,19 +82,15 @@ def parse_int_range(spec) -> list[int]:
 
 
 def parse_number_list(spec) -> list[float]:
-    """'1,-1/2' -> [1.0, -0.5]."""
-    try:
-        return [float(parse_rational(tok)) for tok in str(spec).split(",") if tok != ""]
-    except ValueError:
-        raise ConfigError(f"bad number list {spec!r} (want comma-separated values)") from None
+    """'1,-1/2' -> [1.0, -0.5]; a bad value raises parse_rational's ConfigError."""
+    return [float(parse_rational(tok)) for tok in str(spec).split(",") if tok != ""]
 
 
 def parse_bracket(spec) -> tuple:
-    try:
-        lo_s, hi_s = str(spec).split(":", 1)
-        return (float(parse_rational(lo_s)), float(parse_rational(hi_s)))
-    except ValueError:
-        raise ConfigError(f"bad bracket {spec!r} (want 'lo:hi')") from None
+    lo_s, colon, hi_s = str(spec).partition(":")
+    if not colon:
+        raise ConfigError(f"bad bracket {spec!r} (want 'lo:hi')")
+    return (float(parse_rational(lo_s)), float(parse_rational(hi_s)))
 
 
 def build_grid(spec, spacing, omega):

@@ -110,43 +110,56 @@ def hooke_series_operator(m_abs, kappa, e_tilde):
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of a rational; an int passes with no Fraction built."""
-    return (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
+    """(numerator, denominator) of a rational; an int or Fraction passes with no Fraction built."""
+    return x.as_integer_ratio() if isinstance(x, (int, Fraction)) else Fraction(x).as_integer_ratio()
 
 
 def _recurrence(kappa, e_tilde, m_abs, omega=1):
     """a_0, a_1, ... of the recurrence, without end; see recurrence_coefficients.
 
-    A symbolic kappa (None) gives each a_j as (P, D): integer coefficients of
-    kappa^0, kappa^1, ... over one common denominator D > 0, reduced by their
-    gcd at every step, so no Fraction arithmetic runs.
+    b_j = omega (2 (j-2) - e_tilde) and c_j = j (j + 2|m|) come as integer
+    (numerator, denominator) pairs from int or Fraction parameters. A symbolic
+    kappa (None) gives each a_j as (P, D): integer coefficients of kappa^0,
+    kappa^1, ... over one common denominator D > 0, reduced by their gcd at
+    every step, so no Fraction arithmetic runs; a float kappa divides a pair once.
     """
+    if isinstance(omega, (int, Fraction)) and isinstance(e_tilde, (int, Fraction)):
+        (on, od), (en, ed) = _ratio(omega), _ratio(e_tilde)
+        b_at = lambda j: (on * (2 * (j - 2) * ed - en), od * ed)
+    else:
+        b_at = lambda j: omega * (2 * (j - 2) - e_tilde)
+    if isinstance(m_abs, (int, Fraction)):
+        mn, md = _ratio(m_abs)
+        c_at = lambda j: (j * (j * md + 2 * mn), md)
+    else:
+        c_at = lambda j: j * (j + 2 * m_abs)
     if kappa is None:
         def step(prev, prev2, b, c):
             num, den = [0] + prev[0], prev[1]       # kappa a_{j-1}
             if prev2 is not None:
-                (P2, d2), (bn, bd) = prev2, _ratio(b)
+                (P2, d2), (bn, bd) = prev2, b
                 den = math.lcm(den, d2 * bd)
                 num = [x * (den // prev[1]) for x in num]
                 f = bn * (den // (d2 * bd))
                 for i, x in enumerate(P2):
                     num[i] += f * x
-            cn, cd = _ratio(c)
+            cn, cd = c
             num, den = [x * cd for x in num], den * cn
             g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
             return [x // g for x in num], den // g
-        prev = ([1], 1)
+        value, prev = (lambda v: v if isinstance(v, tuple) else _ratio(v)), ([1], 1)
     else:
         def step(prev, prev2, b, c):
             term = kappa * prev
             if prev2 is not None:
                 term = term + b * prev2
             return term / c
-        prev = Fraction(1) if isinstance(kappa, (int, Fraction, Poly)) else 1.0
+        div = Fraction if isinstance(kappa, (int, Fraction, Poly)) else (lambda n, d: n / d)
+        value, prev = (lambda v: div(*v) if isinstance(v, tuple) else v), div(1, 1)
     prev2 = None
     for j in itertools.count(1):
         yield prev
-        prev, prev2 = step(prev, prev2, omega * (2 * (j - 2) - e_tilde), j * (j + 2 * m_abs)), prev
+        prev, prev2 = step(prev, prev2, value(b_at(j)), value(c_at(j))), prev
 
 
 def _kappa_poly(a) -> Poly:
@@ -163,7 +176,8 @@ def recurrence_coefficients(kappa, e_tilde, m_abs, count: int, omega=1):
     the scaled variable rho (kappa = Z / sqrt(omega_tilde)); with omega = omega_tilde
     and kappa = Z it runs in r; under x^2 = r it gives the sextic sector series.
     Pass kappa=None to carry it as a formal symbol (exact Poly output, built
-    from integer coefficients over one common denominator).
+    from integer coefficients over one common denominator). At a float kappa an
+    int or Fraction b_j or c_j enters as one int / int division, rounded once.
     """
     out = list(itertools.islice(_recurrence(kappa, e_tilde, m_abs, omega), count))
     return [_kappa_poly(a) for a in out] if kappa is None else out

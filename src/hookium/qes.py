@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,11 @@ def _sqrt_exact_or_float(value):
 
 @dataclass(frozen=True)
 class SexticParams:
-    """Couplings of the sextic oscillator; gamma > 0 keeps the ground factor normalizable."""
+    """Couplings of the sextic oscillator; gamma > 0 keeps the ground factor normalizable.
+
+    sqrt_gamma and A are computed once, on first read, outside ==, hash and replace.
+    Rational ones enter a float eigen series as int / int, rounded once.
+    """
 
     alpha: float
     gamma: float
@@ -81,11 +86,11 @@ class SexticParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
-    @property
+    @cached_property
     def sqrt_gamma(self):
         return _sqrt_exact_or_float(self.gamma)
 
-    @property
+    @cached_property
     def A(self):
         """Quadratic coefficient of the similarity-reduced operator."""
         sg = self.sqrt_gamma
@@ -116,7 +121,7 @@ def _sector_coefficients(p: SexticParams, kappa, count: int) -> list:
     coefficients stay exact rationals when sqrt(gamma), A and m are rational.
     """
     sg, A = p.sqrt_gamma, p.A
-    if isinstance(sg, Fraction) and isinstance(A, Fraction) and _is_rational(p.m):
+    if isinstance(A, Fraction) and _is_rational(p.m):   # a Fraction A needs a Fraction sqrt(gamma)
         m_tilde = (2 * Fraction(p.m) + 1) / 4
     else:
         sg, A, m_tilde = float(sg), float(A), (2.0 * float(p.m) + 1.0) / 4.0
@@ -156,13 +161,17 @@ def sector_energies(p: SexticParams) -> list[float]:
     """Exact eigenvalues of the closed polynomial sector, ascending.
 
     The sector recurrence run with symbolic E gives c_{d+1}(E); its real roots
-    are the sector energies.
+    are the sector energies. With exact parameters it runs on integers in
+    kappa = -E/2, and coefficient i is then scaled by (-1/2)^i, exactly.
     """
     d = sector_degree(p)
     if d is None:
         raise ValueError("parameters do not close a polynomial sector (A is not -2d sqrt(gamma))")
-    c = _sector_coefficients(p, -Poly.symbol() / 2, d + 2)
-    rational, irrational = real_roots(c[d + 1])
+    exact = isinstance(p.A, Fraction) and _is_rational(p.m)   # as in _sector_coefficients
+    c = _sector_coefficients(p, None if exact else -Poly.symbol() / 2, d + 2)[d + 1]
+    if exact:
+        c = Poly([x * Fraction(-1, 2) ** i for i, x in enumerate(c.coeffs)])
+    rational, irrational = real_roots(c)
     return sorted([float(r) for r in rational] + list(irrational))
 
 
@@ -272,11 +281,11 @@ def _in_y(series: PowerSeries) -> list:
 
     The coefficients keep their type, so an exact series gives an exact polynomial.
     """
-    if any(c and (e < 0 or e % 2) for e, c in zip(series.exponents(), series.coeffs)):
-        raise ValueError("the series must hold nonnegative even powers of x only")
     if series.is_zero():
         return []
-    return [series.coefficient(e) for e in range(0, int(series.max_exponent) + 1, 2)]
+    if series.base < 0 or series.base % 2 or any(series.coeffs[1::2]):   # coeffs[0] != 0
+        raise ValueError("the series must hold nonnegative even powers of x only")
+    return [0] * (series.base // 2) + list(series.coeffs[::2])
 
 
 def sextic_state_to_hooke(p: SexticParams, E: float, series: PowerSeries) -> RadialWavefunction:

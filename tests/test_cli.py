@@ -418,7 +418,7 @@ def test_numeric_flags_take_fractions(capsys):
     assert "node_count = 1" in out.splitlines()
     code, _, err = run(capsys, "solve", "--n", "2", "--Z", "1/0")
     assert code == 2
-    assert "bad number list" in err
+    assert err == "error: not a number: '1/0'\n"
 
 
 @pytest.mark.parametrize("argv, joined", [
@@ -437,12 +437,28 @@ def test_separated_negative_values_are_values(capsys, argv, joined):
     ("density --n 2 --Z 1 --beta -inf", "beta must be finite and positive"),
     ("density --n 2 --Z 1 --grid -inf:1:5", "min and max must be finite"),
     ("qes variational --nodes 1 --sextic-m -inf", "not a finite number"),
-    ("qes variational --nodes 1 --bracket -nan:1", "bad bracket"),
+    ("qes variational --nodes 1 --bracket -nan:1", "not a finite number: '-nan'"),
 ])
 def test_separated_negative_nonfinite_values_reach_domain_checks(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("solve --n 2 --Z inf", "not a finite number: 'inf'"),
+    ("solve --n 2 --Z 1,1e400", "not a finite number: '1e400'"),
+    ("entropy --n 2 --Z -inf", "not a finite number: '-inf'"),
+    ("solve --n 2 --Z 1,x", "not a number: 'x'"),
+    ("qes variational --nodes 1 --bracket 1e400:3", "not a finite number: '1e400'"),
+    ("qes variational --nodes 1 --bracket 0:nan", "not a finite number: 'nan'"),
+    ("qes variational --nodes 1 --bracket 0:3:4", "not a number: '3:4'"),
+    ("qes variational --nodes 1 --bracket 3", "bad bracket '3' (want 'lo:hi')"),
+])
+def test_number_list_and_bracket_errors_keep_their_reason(capsys, argv, message):
+    # a bad value in a list or bracket exits 2 with parse_rational's own reason
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -56,6 +58,97 @@ def test_condition_open_for_odd_shift():
     assert qes.sector_degree(p) is None
     with pytest.raises(ValueError):
         qes.sector_energies(p)
+
+
+def test_params_cache_takes_no_part_in_identity():
+    # sqrt_gamma and A are computed once and kept; ==, hash, pickle and replace see the fields only
+    read = qes.SexticParams(alpha=-6, gamma=Fraction(4, 9), m=0)
+    assert (read.sqrt_gamma, read.A) == (Fraction(2, 3), Fraction(-4, 3))
+    assert {"sqrt_gamma", "A"} <= vars(read).keys()
+    fresh = qes.SexticParams(alpha=-6, gamma=Fraction(4, 9), m=0)
+    assert not {"sqrt_gamma", "A"} & vars(fresh).keys()
+    assert read == fresh and hash(read) == hash(fresh)
+    for clone in (pickle.loads(pickle.dumps(read)), pickle.loads(pickle.dumps(fresh))):
+        assert clone == fresh and hash(clone) == hash(fresh)
+        assert (clone.sqrt_gamma, clone.A) == (Fraction(2, 3), Fraction(-4, 3))
+    moved = dataclasses.replace(read, gamma=Fraction(9, 4))
+    assert moved != read
+    assert (moved.sqrt_gamma, moved.A) == (Fraction(3, 2), Fraction(3, 4))
+    assert read.A == Fraction(-4, 3)
+
+
+# sextic parameters on both sides of every exactness test: rational and irrational
+# sqrt(gamma), int, Fraction and float gamma and m
+GRID_GAMMAS = (Fraction(1, 4), Fraction(4, 9), Fraction(1), Fraction(9, 4), Fraction(4), 2, 2.0, 0.3)
+GRID_MS = (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(1, 3), 0.25)
+GRID_NS = (0, 2, 4, 6, 8)
+
+
+def _bits(values) -> list:
+    """Each value with its type; floats by float.hex, so equal lists are bit-identical."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+def _fraction_step_recurrence(kappa, e_tilde, m_abs, count, omega=1):
+    """The recurrence stepped on Fraction objects: b_j and c_j are built in the
+    parameters' own types, and a float kappa meets them through Fraction's float
+    fallback (float(b_j) a_(j-2), then a division by float(c_j))."""
+    out = [Fraction(1) if isinstance(kappa, (int, Fraction)) else 1.0]
+    for j in range(1, count):
+        term = kappa * out[j - 1]
+        if j >= 2:
+            term = term + omega * (2 * (j - 2) - e_tilde) * out[j - 2]
+        out.append(term / (j * (j + 2 * m_abs)))
+    return out
+
+
+@pytest.mark.parametrize("gamma", GRID_GAMMAS)
+@pytest.mark.parametrize("m", GRID_MS)
+def test_eigen_series_matches_fraction_step_reference(gamma, m):
+    for n in GRID_NS:
+        p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
+        sg, A = p.sqrt_gamma, p.A
+        if isinstance(A, Fraction):
+            m_tilde = (2 * Fraction(m) + 1) / 4
+        else:
+            sg, A, m_tilde = float(sg), float(A), (2.0 * float(m) + 1.0) / 4.0
+        for E in (3, Fraction(-7, 3), 1.7, -0.1, *qes.sector_energies(p)):
+            kappa = -(Fraction(E) if isinstance(E, int) else E) / 2
+            want = _fraction_step_recurrence(kappa, -A / sg, m_tilde, n // 2 + 3, sg / 2)
+            got = hooke.recurrence_coefficients(kappa, -A / sg, m_tilde, n // 2 + 3, sg / 2)
+            assert _bits(got) == _bits(want), (gamma, m, n, E)
+            while not want[-1]:   # the series drops the zeros that end a closed sector state
+                want.pop()
+            series = qes.qes_eigen_series(E, p, n + 4)
+            assert _bits(series.coeffs[::2]) == _bits(want), (gamma, m, n, E)
+            assert not any(series.coeffs[1::2])
+
+
+def test_float_kappa_recurrence_with_integer_parameters_matches_fraction_step_reference():
+    # verify's own calls: the float kappa of a solved branch, integer e_tilde and |m|
+    for n in range(2, 7):
+        for m in range(4):
+            for Z in (1, -1):
+                for b in hooke.solve_frequencies(n, m, Z):
+                    for omega in (1, Fraction(3, 2), b.omega_tilde):
+                        args = (b.kappa, 2 * (n - 1), m, n + 4, omega)
+                        want = _fraction_step_recurrence(*args)
+                        assert _bits(hooke.recurrence_coefficients(*args)) == _bits(want), args
+
+
+@pytest.mark.parametrize("gamma", GRID_GAMMAS)
+@pytest.mark.parametrize("m", GRID_MS)
+def test_sector_energies_match_symbolic_energy_recurrence(gamma, m):
+    # the recurrence run with kappa = -E/2 as a Poly of Fractions in E
+    for n in GRID_NS:
+        p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
+        d = qes.sector_degree(p)
+        assert d == n // 2
+        rational, irrational = polyops.real_roots(
+            qes._sector_coefficients(p, -polyops.Poly.symbol() / 2, d + 2)[d + 1])
+        want = sorted([float(r) for r in rational] + irrational)
+        assert _bits(qes.sector_energies(p)) == _bits(want), (gamma, m, n)
+        assert len(want) == d + 1
 
 
 def test_sector_energies_symmetric_pair(exact_sector):
@@ -139,6 +232,19 @@ def test_node_count_domain():
         qes.node_count(PowerSeries(0, [1.0, 0.0, -1.0]), (-1.0, 4.0))
     with pytest.raises(ValueError):
         qes.node_count(PowerSeries(0, [1.0, -1.0, -1.0]), (0.0, 4.0))
+
+
+def test_in_y_reads_even_series_as_polynomial_in_y():
+    assert qes._in_y(PowerSeries(0, [])) == []
+    assert qes._in_y(PowerSeries(0, [Fraction(1, 3), 0, 2.5])) == [Fraction(1, 3), 2.5]
+    # an even base > 0: the powers of y below it are zeros
+    assert qes._in_y(PowerSeries(4, [3.0, 0.0, -1.0])) == [0, 0, 3.0, -1.0]
+    assert qes._in_y(PowerSeries(Fraction(2), [Fraction(5)])) == [0, Fraction(5)]
+    for odd_or_negative in (PowerSeries(1, [1.0]), PowerSeries(0, [1.0, 2.0, 3.0]),
+                            PowerSeries(2, [1.0, 0.0, 0.0, 4.0]), PowerSeries(-2, [1.0]),
+                            PowerSeries(-1, [1.0]), PowerSeries(Fraction(1, 2), [1.0])):
+        with pytest.raises(ValueError, match="nonnegative even powers of x only"):
+            qes._in_y(odd_or_negative)
 
 
 def test_residual_functional_discriminates(mapped_sector):
