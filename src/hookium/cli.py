@@ -219,7 +219,7 @@ def cmd_density(args) -> int:
         branch = _resolve_branch(args.n, _single(parse_int_range(args.m), "--m"),
                                  _single(parse_number_list(args.Z), "--Z"),
                                  args.omega, args.branch)
-        wf = hooke.build_wavefunction(hooke._with_roots([branch])[0])   # this chamber alone
+        wf = hooke.build_wavefunction(branch)
         grid = build_grid(args.grid, args.spacing, wf.omega)
         case = None
         case_id = None
@@ -303,7 +303,7 @@ def cmd_entropy(args) -> int:
     m = _single(parse_int_range(args.m), "--m")
     Z = _single(parse_number_list(args.Z), "--Z")
     branch = _resolve_branch(args.n, m, Z, args.omega, args.branch)
-    wf = hooke.build_wavefunction(hooke._with_roots([branch])[0])   # this chamber alone
+    wf = hooke.build_wavefunction(branch)
     grid = build_grid(args.grid, args.spacing, wf.omega)
     profile = observables.entropy_density(wf, grid)
     # the surface is checked and computed before any line is printed

@@ -109,30 +109,20 @@ def hooke_series_operator(m_abs, kappa, e_tilde):
     return F, P
 
 
-def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of a rational; an int or Fraction passes with no Fraction built."""
-    return x.as_integer_ratio() if isinstance(x, (int, Fraction)) else Fraction(x).as_integer_ratio()
-
-
 def _recurrence(kappa, e_tilde, m_abs, omega=1):
     """a_0, a_1, ... of the recurrence, without end; see recurrence_coefficients.
 
     b_j = omega (2 (j-2) - e_tilde) and c_j = j (j + 2|m|) come as integer
-    (numerator, denominator) pairs from int or Fraction parameters. A symbolic
-    kappa (None) gives each a_j as (P, D): integer coefficients of kappa^0,
-    kappa^1, ... over one common denominator D > 0, reduced by their gcd at
-    every step, so no Fraction arithmetic runs; a float kappa divides a pair once.
+    (numerator, denominator) pairs from the parameters' exact ratios: an int,
+    a Fraction, or a float at its binary value. A symbolic kappa (None) gives
+    each a_j as (P, D): integer coefficients of kappa^0, kappa^1, ... over one
+    common denominator D > 0, reduced by their gcd at every step, so no
+    Fraction arithmetic runs; an int or Fraction kappa makes each pair a
+    Fraction, and a float kappa divides each pair once.
     """
-    if isinstance(omega, (int, Fraction)) and isinstance(e_tilde, (int, Fraction)):
-        (on, od), (en, ed) = _ratio(omega), _ratio(e_tilde)
-        b_at = lambda j: (on * (2 * (j - 2) * ed - en), od * ed)
-    else:
-        b_at = lambda j: omega * (2 * (j - 2) - e_tilde)
-    if isinstance(m_abs, (int, Fraction)):
-        mn, md = _ratio(m_abs)
-        c_at = lambda j: (j * (j * md + 2 * mn), md)
-    else:
-        c_at = lambda j: j * (j + 2 * m_abs)
+    (on, od), (en, ed), (mn, md) = (x.as_integer_ratio() for x in (omega, e_tilde, m_abs))
+    b_at = lambda j: (on * (2 * (j - 2) * ed - en), od * ed)
+    c_at = lambda j: (j * (j * md + 2 * mn), md)
     if kappa is None:
         def step(prev, prev2, b, c):
             num, den = [0] + prev[0], prev[1]       # kappa a_{j-1}
@@ -147,19 +137,20 @@ def _recurrence(kappa, e_tilde, m_abs, omega=1):
             num, den = [x * cd for x in num], den * cn
             g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
             return [x // g for x in num], den // g
-        value, prev = (lambda v: v if isinstance(v, tuple) else _ratio(v)), ([1], 1)
+        prev = ([1], 1)
     else:
+        div = Fraction if isinstance(kappa, (int, Fraction)) else (lambda n, d: n / d)
+
         def step(prev, prev2, b, c):
             term = kappa * prev
             if prev2 is not None:
-                term = term + b * prev2
-            return term / c
-        div = Fraction if isinstance(kappa, (int, Fraction, Poly)) else (lambda n, d: n / d)
-        value, prev = (lambda v: div(*v) if isinstance(v, tuple) else v), div(1, 1)
+                term = term + div(*b) * prev2
+            return term / div(*c)
+        prev = div(1, 1)
     prev2 = None
     for j in itertools.count(1):
         yield prev
-        prev, prev2 = step(prev, prev2, value(b_at(j)), value(c_at(j))), prev
+        prev, prev2 = step(prev, prev2, b_at(j), c_at(j)), prev
 
 
 def _kappa_poly(a) -> Poly:
@@ -175,9 +166,11 @@ def recurrence_coefficients(kappa, e_tilde, m_abs, count: int, omega=1):
     with a_0 = 1. This is the package's one recurrence: with omega = 1 it runs in
     the scaled variable rho (kappa = Z / sqrt(omega_tilde)); with omega = omega_tilde
     and kappa = Z it runs in r; under x^2 = r it gives the sextic sector series.
-    Pass kappa=None to carry it as a formal symbol (exact Poly output, built
-    from integer coefficients over one common denominator). At a float kappa an
-    int or Fraction b_j or c_j enters as one int / int division, rounded once.
+    The parameters are always exact: a float one is its binary value. The
+    output's arithmetic follows kappa alone: None carries it as a formal symbol
+    (exact Poly output, built from integer coefficients over one common
+    denominator), an int or Fraction gives Fractions, and at a float kappa each
+    b_j and c_j enters as one int / int division, rounded once.
     """
     out = list(itertools.islice(_recurrence(kappa, e_tilde, m_abs, omega), count))
     return [_kappa_poly(a) for a in out] if kappa is None else out
@@ -192,10 +185,7 @@ def quantization_polynomial(n: int, m) -> Poly:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m_abs = abs(m)
-    if isinstance(m_abs, Fraction) and m_abs.denominator == 1:
-        m_abs = int(m_abs)   # an integer |m| keeps every recurrence step on ints
-    return _kappa_poly(next(itertools.islice(_recurrence(None, 2 * (n - 1), m_abs), n, None)))
+    return _kappa_poly(next(itertools.islice(_recurrence(None, 2 * (n - 1), abs(m)), n, None)))
 
 
 def _branch_from_s(n, m, Z, s_exact: Fraction | None, s_float: float, chamber: int) -> QuantizationBranch:
@@ -235,6 +225,8 @@ def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
 
 def _exact_branches(n: int, m, Z) -> list[QuantizationBranch]:
     """solve_frequencies without the Stieltjes roots: every branch's roots array is empty."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n < 2:
         raise NoBranchError("n = 1 exists only at Z = 0; use oscillator_branch")
     if Z == 0:
@@ -557,7 +549,7 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
 
     Root route, otherwise: p is prod(1 - r / r_k) on the branch's own roots
     array, which solve_frequencies found as the Stieltjes equilibrium of the
-    branch's chamber; raises ValueError for a branch that carries no roots.
+    branch's chamber; a branch that carries none has its chamber solved alone.
 
     Both are normalized by the shared Gauss rule on u^2, from 8 against 16
     panels, certified at 1e-13 relative. The node count and the entropy
@@ -567,16 +559,15 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
         raise ValueError(f"a trap state needs an integer |m|, got {branch.m!r}")
     exact = _exact_route(branch)
     if exact:
-        m_abs = abs(Fraction(branch.m)) if _is_rational(branch.m) else float(branch.m_abs)
-        poly = Poly(recurrence_coefficients(Fraction(int(branch.Z)), 2 * (branch.n - 1), m_abs,
-                                            branch.n, branch.omega_exact))
+        poly = Poly(recurrence_coefficients(Fraction(int(branch.Z)), 2 * (branch.n - 1),
+                                            branch.m_abs, branch.n, branch.omega_exact))
         rational, irrational = real_roots(poly)
         roots = np.array(sorted([float(x) for x in rational] + irrational))
         roots.flags.writeable = False
         branch = replace(branch, roots=roots)
-    elif len(branch.roots) != branch.n - 1:
-        raise ValueError("the branch carries no roots; take it from solve_frequencies")
     else:
+        if len(branch.roots) != branch.n - 1:   # no roots yet: solve this chamber alone
+            branch = _with_roots([branch])[0]
         poly = _RootProduct(branch.roots)
     bare = RadialWavefunction(m_abs=float(branch.m_abs), omega=branch.omega_tilde, Z=float(branch.Z),
                               eps_rel=branch.eps_rel, poly=poly, norm=1.0, branch=branch)

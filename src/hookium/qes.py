@@ -72,7 +72,8 @@ class SexticParams:
     """Couplings of the sextic oscillator; gamma > 0 keeps the ground factor normalizable.
 
     sqrt_gamma and A are computed once, on first read, outside ==, hash and replace.
-    Rational ones enter a float eigen series as int / int, rounded once.
+    The sector recurrence takes them and m exactly, a float one at its binary
+    value, so the series' arithmetic follows the energy alone.
     """
 
     alpha: float
@@ -117,15 +118,12 @@ def _sector_coefficients(p: SexticParams, kappa, count: int) -> list:
     """c_0..c_{count-1}, the x^(2j) coefficients of the reduced eigen-series.
 
     Under x^2 = r the eigen-equation is the trap recurrence with kappa = -E/2,
-    omega = sqrt(gamma)/2, 2|m~| = m + 1/2 and e_tilde = -A/sqrt(gamma); the
-    coefficients stay exact rationals when sqrt(gamma), A and m are rational.
+    omega = sqrt(gamma)/2, 2|m~| = m + 1/2 and e_tilde = -A/sqrt(gamma). These
+    enter exactly, a float sqrt(gamma), A or m at its binary value, so the
+    coefficients' arithmetic follows kappa alone (see recurrence_coefficients).
     """
-    sg, A = p.sqrt_gamma, p.A
-    if isinstance(A, Fraction) and _is_rational(p.m):   # a Fraction A needs a Fraction sqrt(gamma)
-        m_tilde = (2 * Fraction(p.m) + 1) / 4
-    else:
-        sg, A, m_tilde = float(sg), float(A), (2.0 * float(p.m) + 1.0) / 4.0
-    return recurrence_coefficients(kappa, -A / sg, m_tilde, count, sg / 2)
+    sg, A = Fraction(p.sqrt_gamma), Fraction(p.A)
+    return recurrence_coefficients(kappa, -A / sg, (2 * Fraction(p.m) + 1) / 4, count, sg / 2)
 
 
 def qes_eigen_series(E, p: SexticParams, N: int) -> PowerSeries:
@@ -158,20 +156,18 @@ def sector_degree(p: SexticParams) -> int | None:
 
 
 def sector_energies(p: SexticParams) -> list[float]:
-    """Exact eigenvalues of the closed polynomial sector, ascending.
+    """Eigenvalues of the closed polynomial sector, ascending.
 
     The sector recurrence run with symbolic E gives c_{d+1}(E); its real roots
-    are the sector energies. With exact parameters it runs on integers in
-    kappa = -E/2, and coefficient i is then scaled by (-1/2)^i, exactly.
+    are the sector energies. It runs on integers in kappa = -E/2, with the
+    parameters exact (a float one at its binary value), and coefficient i is
+    then scaled by (-1/2)^i, exactly.
     """
     d = sector_degree(p)
     if d is None:
         raise ValueError("parameters do not close a polynomial sector (A is not -2d sqrt(gamma))")
-    exact = isinstance(p.A, Fraction) and _is_rational(p.m)   # as in _sector_coefficients
-    c = _sector_coefficients(p, None if exact else -Poly.symbol() / 2, d + 2)[d + 1]
-    if exact:
-        c = Poly([x * Fraction(-1, 2) ** i for i, x in enumerate(c.coeffs)])
-    rational, irrational = real_roots(c)
+    c = _sector_coefficients(p, None, d + 2)[d + 1].coeffs   # in kappa = -E/2
+    rational, irrational = real_roots(Poly([x * Fraction(-1, 2) ** i for i, x in enumerate(c)]))
     return sorted([float(r) for r in rational] + list(irrational))
 
 

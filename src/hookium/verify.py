@@ -265,7 +265,13 @@ def _check_sturm_nodes():
 
 
 def run_checks(detune: float = 0.0) -> list[CheckResult]:
-    """All consistency checks in a stable order; detune poisons the residual check."""
+    """All consistency checks in a stable order; detune poisons the residual check.
+
+    The detuned frequency omega (1 + detune) must stay positive and finite:
+    raises ValueError unless detune is finite and greater than -1.
+    """
+    if not -1 < detune < math.inf:
+        raise ValueError(f"detune must be finite and greater than -1, got {detune!r}")
     checks = [
         _check_indicial_roots(),
         _check_inverse_identity(),

@@ -433,6 +433,24 @@ def test_separated_negative_values_are_values(capsys, argv, joined):
     assert (code, out) == run(capsys, *joined.split())[:2]
 
 
+@pytest.mark.parametrize("detune", ["-1", "-2", "-inf", "inf", "nan"])
+def test_verify_rejects_detune_without_a_positive_frequency(capsys, detune):
+    # the detuned frequency omega (1 + detune) must stay positive and finite
+    code, out, err = run(capsys, "verify", "--detune", detune)
+    assert (code, out) == (2, "")
+    assert err == f"error: detune must be finite and greater than -1, got {float(detune)!r}\n"
+
+
+@pytest.mark.parametrize("argv", ["solve --n {}", "entropy --n {} --Z 1", "density --n {} --Z 1",
+                                  "qes map --n {} --Z 1", "entropy --scan --n {}"])
+def test_nonpositive_n_exits_2(capsys, argv):
+    # n <= 0 is bad input; n = 1 is the Coulomb-free state, which has no branch (exit 3)
+    for n in ("0", "-1", "-3"):
+        assert run(capsys, *argv.format(n).split()) == (2, "", "error: n must be >= 1\n")
+    code, _, err = run(capsys, *argv.format("1").split())
+    assert (code, err) == (3, "error: n = 1 exists only at Z = 0; use oscillator_branch\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     ("density --n 2 --Z 1 --beta -inf", "beta must be finite and positive"),
     ("density --n 2 --Z 1 --grid -inf:1:5", "min and max must be finite"),

@@ -493,8 +493,19 @@ def test_state_shares_the_branch_roots():
     assert hooke.build_wavefunction(b).roots is b.roots
     assert hooke.oscillator_branch(0, 0.3).roots.size == 0
     assert hooke.build_wavefunction(hooke.oscillator_branch(0, 0.3)).nodes == 0
-    with pytest.raises(ValueError):
-        hooke.build_wavefunction(dataclasses.replace(b, roots=np.empty(0)))
+    rootless = hooke.build_wavefunction(dataclasses.replace(b, roots=np.empty(0)))
+    assert rootless.roots.tobytes() == b.roots.tobytes()   # its chamber, solved alone
+
+
+@pytest.mark.parametrize("n, m, Z", [(4, 1, -1), (5, 0, 1), (6, 2, -1), (7, 0, 1)])
+def test_build_wavefunction_solves_a_rootless_branch_chamber(n, m, Z):
+    # a branch without its roots (as the CLI resolves it) builds the state of solve_frequencies
+    r = np.linspace(0.0, 20.0, 41)
+    for bare, solved in zip(hooke._exact_branches(n, m, Z), hooke.solve_frequencies(n, m, Z)):
+        assert bare == solved
+        got, want = hooke.build_wavefunction(bare), hooke.build_wavefunction(solved)
+        assert got.roots.tobytes() == want.roots.tobytes(), (n, m, Z, bare.chamber)
+        assert (got.norm, got.u(r).tobytes()) == (want.norm, want.u(r).tobytes())
 
 
 def test_equilibrium_failures_are_loud(monkeypatch):

@@ -92,8 +92,9 @@ def _bits(values) -> list:
 def _fraction_step_recurrence(kappa, e_tilde, m_abs, count, omega=1):
     """The recurrence stepped on Fraction objects: b_j and c_j are built in the
     parameters' own types, and a float kappa meets them through Fraction's float
-    fallback (float(b_j) a_(j-2), then a division by float(c_j))."""
-    out = [Fraction(1) if isinstance(kappa, (int, Fraction)) else 1.0]
+    fallback (float(b_j) a_(j-2), then a division by float(c_j)); a Poly kappa
+    of Fractions gives Polys of Fractions."""
+    out = [1.0 if isinstance(kappa, float) else Fraction(1)]
     for j in range(1, count):
         term = kappa * out[j - 1]
         if j >= 2:
@@ -102,21 +103,33 @@ def _fraction_step_recurrence(kappa, e_tilde, m_abs, count, omega=1):
     return out
 
 
+def _exact_sector_arguments(p):
+    """(e_tilde, m~, omega) of the sector recurrence from sqrt(gamma), A and m at their
+    exact values, a float at its binary one."""
+    sg, A = Fraction(p.sqrt_gamma), Fraction(p.A)
+    return -A / sg, (2 * Fraction(p.m) + 1) / 4, sg / 2
+
+
+def _sector_polynomial(p, d):
+    """c_(d+1) as a Poly of Fractions in E: the Fraction-step recurrence at kappa = -E/2."""
+    e_tilde, m_tilde, omega = _exact_sector_arguments(p)
+    kappa = -polyops.Poly.symbol() / 2
+    return _fraction_step_recurrence(kappa, e_tilde, m_tilde, d + 2, omega)[d + 1]
+
+
 @pytest.mark.parametrize("gamma", GRID_GAMMAS)
 @pytest.mark.parametrize("m", GRID_MS)
 def test_eigen_series_matches_fraction_step_reference(gamma, m):
+    # the parameters enter at their exact values, so the output's arithmetic follows kappa
     for n in GRID_NS:
         p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
-        sg, A = p.sqrt_gamma, p.A
-        if isinstance(A, Fraction):
-            m_tilde = (2 * Fraction(m) + 1) / 4
-        else:
-            sg, A, m_tilde = float(sg), float(A), (2.0 * float(m) + 1.0) / 4.0
+        e_tilde, m_tilde, omega = _exact_sector_arguments(p)
         for E in (3, Fraction(-7, 3), 1.7, -0.1, *qes.sector_energies(p)):
             kappa = -(Fraction(E) if isinstance(E, int) else E) / 2
-            want = _fraction_step_recurrence(kappa, -A / sg, m_tilde, n // 2 + 3, sg / 2)
-            got = hooke.recurrence_coefficients(kappa, -A / sg, m_tilde, n // 2 + 3, sg / 2)
+            want = _fraction_step_recurrence(kappa, e_tilde, m_tilde, n // 2 + 3, omega)
+            got = hooke.recurrence_coefficients(kappa, e_tilde, m_tilde, n // 2 + 3, omega)
             assert _bits(got) == _bits(want), (gamma, m, n, E)
+            assert all(type(c) is (float if isinstance(E, float) else Fraction) for c in got)
             while not want[-1]:   # the series drops the zeros that end a closed sector state
                 want.pop()
             series = qes.qes_eigen_series(E, p, n + 4)
@@ -139,16 +152,44 @@ def test_float_kappa_recurrence_with_integer_parameters_matches_fraction_step_re
 @pytest.mark.parametrize("gamma", GRID_GAMMAS)
 @pytest.mark.parametrize("m", GRID_MS)
 def test_sector_energies_match_symbolic_energy_recurrence(gamma, m):
-    # the recurrence run with kappa = -E/2 as a Poly of Fractions in E
+    # the recurrence run with kappa = -E/2 as a Poly of Fractions in E, on the exact parameters
     for n in GRID_NS:
         p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
         d = qes.sector_degree(p)
         assert d == n // 2
-        rational, irrational = polyops.real_roots(
-            qes._sector_coefficients(p, -polyops.Poly.symbol() / 2, d + 2)[d + 1])
+        rational, irrational = polyops.real_roots(_sector_polynomial(p, d))
         want = sorted([float(r) for r in rational] + irrational)
         assert _bits(qes.sector_energies(p)) == _bits(want), (gamma, m, n)
         assert len(want) == d + 1
+
+
+def _newton_root(poly, x, steps=4, bits=256):
+    """A root of a Poly of Fractions by Fraction Newton steps from x, each iterate
+    rounded to a multiple of 2^-bits so the Fractions stay small."""
+    dpoly, x = poly.derivative(), Fraction(x)
+    for _ in range(steps):
+        x -= poly(x) / dpoly(x)
+        x = Fraction(round(x * 2**bits), 2**bits)
+    return x
+
+
+@pytest.mark.parametrize("gamma", (*GRID_GAMMAS, 3, Fraction(1, 2)))
+def test_sector_energies_within_half_ulp_of_exact_root(gamma):
+    # each level is within 0.5 ulp of its root of the exact sector polynomial: the one
+    # of sqrt(gamma), A and m at their binary values, with alpha exact or float
+    for m in (*GRID_MS, -0.5, 1.5):
+        for n in GRID_NS:
+            alpha = qes.qes_condition(n, m, gamma)
+            for a in (alpha, float(alpha)):
+                p = qes.SexticParams(alpha=a, gamma=gamma, m=m)
+                d = qes.sector_degree(p)
+                levels = qes.sector_energies(p)
+                assert len(levels) == d + 1, (gamma, m, n, a)
+                c = _sector_polynomial(p, d)
+                roots = [_newton_root(c, E) for E in levels]
+                assert all(lo < hi for lo, hi in zip(roots, roots[1:])), (gamma, m, n, a)
+                for E, root in zip(levels, roots):
+                    assert abs(Fraction(E) - root) <= Fraction(math.ulp(E)) / 2, (gamma, m, n, a, E)
 
 
 def test_sector_energies_symmetric_pair(exact_sector):
