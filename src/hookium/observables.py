@@ -25,7 +25,7 @@ from .hooke import (
     build_wavefunction,
     solve_frequencies,
 )
-from .integrate import _GL_W, _GL_X, _check_budget, gauss_legendre
+from .integrate import _GL_W, _GL_X, QuadratureNonConvergence, _check_budget, gauss_legendre
 
 __all__ = [
     "CATALOG",
@@ -149,6 +149,25 @@ def _convolve(wf: RadialWavefunction, beta: float, r, angular: str,
         mean = special.i0e(z) if angular == "bessel" else _angular_mean(z, tol_abs, tol_rel)
         return wf.u_squared(rp) * np.exp(-beta * (rows - 0.5 * rp) ** 2) * mean
     return (2.0 * beta / math.pi) * _rule_rows(f, r, _u2_range(wf), tol_abs, tol_rel)
+
+
+def _convolve_slope(wf: RadialWavefunction, beta: float, r, tol_abs: float, tol_rel: float):
+    """(n(r), dn/dbeta) of the Bessel-route convolution from one Gauss-rule pass.
+
+    With d = r - r'/2 and z = beta r r', and d i0e(z)/dz = i1e(z) - i0e(z),
+    dn/dbeta = (2/pi) int u^2 exp(-beta d^2) [i0e(z) (1 - beta d^2 - z) + z i1e(z)] dr'.
+    Both integrands go to the rule as stacked rows, each certified under the budget.
+    """
+    from scipy import special
+
+    def f(rows, rp):
+        z = beta * rows * rp
+        bd2 = beta * (rows - 0.5 * rp) ** 2
+        weight, i0 = wf.u_squared(rp) * np.exp(-bd2), special.i0e(z)
+        return np.stack([weight * i0, weight * (i0 * (1.0 - bd2 - z) + z * special.i1e(z))],
+                        axis=1)
+    value, slope = (2.0 / math.pi) * _rule_rows(f, r, _u2_range(wf), tol_abs, tol_rel).T
+    return beta * value, slope
 
 
 def density_quadrature(wf: RadialWavefunction, cm: CenterOfMassState, grid=None, *,
@@ -290,6 +309,12 @@ def closed_form_density(case, grid=None) -> DensityProfile:
                           beta=None, scale_applied=scale)
 
 
+# fit_cm_width's step cap. The safeguard ends the loop first: a bisection halves the
+# bracket's log-width (33 take ln 100 below 1e-9) and a Newton step halves the step
+# before last; fits at bracket ends and on mismatched references take at most 34 steps.
+_FIT_STEPS = 100
+
+
 @dataclass(frozen=True)
 class CmWidthFit:
     """Fitted center-of-mass Gaussian width against a reference profile."""
@@ -303,14 +328,19 @@ def fit_cm_width(wf: RadialWavefunction, reference) -> CmWidthFit:
     """Width beta that best matches `reference(r)` (a normalized density callable).
 
     The reference is sampled on 25 points over [0, 6], and the points where it
-    is at least 1e-6 of its peak are compared. Bounded Brent search over
-    [omega/10, 10 omega] (to 1e-7 omega) minimizes the mean squared relative
-    deviation of the convolved density there: it is smooth at its minimum, so
-    the parabolic steps converge, where its square root would have a V-shaped
-    minimum that leaves only golden-section steps. objective is the relative
+    is at least 1e-6 of its peak are compared. The fit minimizes the mean
+    squared relative deviation of the convolved density there over
+    [omega/10, 10 omega] by Gauss-Newton steps from beta = omega, the width the
+    catalog profiles carry. One `_convolve_slope` pass per step gives
+    rel = (n - ref) / ref and J = (dn/dbeta) / ref; the step is
+    -mean(rel J) / mean(J^2), and the sign of mean(rel J) shrinks the bracket.
+    As in Numerical Recipes' rtsafe, a step that leaves the bracket or is more
+    than half the step before last becomes the step to its geometric midpoint.
+    The fit stops once a step is at most 1e-9 beta. objective is the relative
     RMS deviation at the fitted beta; the convention value beta = 4 omega_tilde
     (the ground center-of-mass width) is reported alongside.
-    Raises ValueError when a sample is not finite or none is positive.
+    Raises ValueError when a sample is not finite or none is positive, and
+    QuadratureNonConvergence if _FIT_STEPS steps leave the fit unconverged.
     """
     pts = np.linspace(0.0, 6.0, 25)
     ref = np.asarray([reference(float(r)) for r in pts], dtype=float)
@@ -318,18 +348,30 @@ def fit_cm_width(wf: RadialWavefunction, reference) -> CmWidthFit:
         raise ValueError("the reference density needs finite samples on [0, 6], "
                          "at least one of them positive")
     mask = ref >= 1e-6 * ref.max()
-
-    def mean_square(beta: float) -> float:
-        q = _convolve(wf, beta, pts, "bessel", 1e-13, 1e-10)
-        rel = (q[mask] - ref[mask]) / ref[mask]
-        return float(np.mean(rel * rel))
-
-    from scipy import optimize   # only the width fit needs it; importing it costs about 20 MB
-
-    res = optimize.minimize_scalar(mean_square, bounds=(wf.omega / 10.0, 10.0 * wf.omega),
-                                  method="bounded", options={"xatol": 1e-7 * wf.omega})
-    return CmWidthFit(beta=float(res.x), beta_convention=4.0 * wf.omega,
-                      objective=math.sqrt(res.fun))
+    ref = ref[mask]
+    lo, hi = wf.omega / 10.0, 10.0 * wf.omega
+    beta = wf.omega
+    older = last = hi - lo
+    for _ in range(_FIT_STEPS):
+        q, dq = _convolve_slope(wf, beta, pts[mask], 1e-13, 1e-10)
+        rel, jac = (q - ref) / ref, dq / ref
+        grad = np.mean(rel * jac)
+        if grad > 0:
+            hi = beta
+        elif grad < 0:
+            lo = beta
+        step = float(-grad / np.mean(jac * jac))
+        if not lo <= beta + step <= hi or abs(step) > 0.5 * abs(older):
+            step = math.sqrt(lo * hi) - beta
+        older, last = last, step
+        beta += step
+        if abs(step) <= 1e-9 * beta:
+            break
+    else:
+        raise QuadratureNonConvergence(f"CM-width fit took {_FIT_STEPS} steps without converging")
+    rel = (_convolve(wf, beta, pts, "bessel", 1e-13, 1e-10)[mask] - ref) / ref
+    return CmWidthFit(beta=beta, beta_convention=4.0 * wf.omega,
+                      objective=math.sqrt(np.mean(rel * rel)))
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,8 @@ def real_roots(p: Poly):
             if dfx == 0.0:
                 break
             step = fx / dfx
+            if x - step == x:   # a fixed point: the step depends on x alone
+                break
             x -= step
             if abs(step) <= 1e-17 * max(1.0, abs(x)):
                 break

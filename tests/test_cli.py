@@ -103,13 +103,24 @@ def test_cli_solves_only_the_chambers_it_reads(capsys, monkeypatch):
 
 
 def test_cli_import_skips_scipy_optimize_and_integrate():
-    # SciPy is imported where it is used (the width fit, the adaptive oracle, Bessel
-    # values); a cold start loads none of it
+    # SciPy is imported where it is used (the adaptive oracle, Bessel values); a
+    # cold start loads none of it
     code = ("import sys, hookium.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_fresh_env(), check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_density_both_leaves_scipy_optimize_unloaded():
+    # the width fit steps on its analytic slope, so no SciPy minimizer is imported
+    code = ("import sys; from hookium import cli; "
+            "code = cli.main(['density', '--case', 'n2m1Zp1', '--method', 'both']); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_fresh_env(), check=True, timeout=120).stdout.splitlines()
+    assert "beta_fitted = 0.16666666666666669" in out
+    assert out[-1] == "0 []"
 
 
 def test_solve_quadratic_branches_golden(capsys):
@@ -401,6 +412,18 @@ def test_verify_detune_fails_one_check(capsys):
     fails = [ln for ln in lines if ln.startswith("FAIL")]
     assert len(fails) == 1
     assert "eigen-residual-n3-m1" in fails[0]
+    assert lines[-1] == "28/29 checks passed"
+
+
+@pytest.mark.parametrize("detune", ["1e160", "1e308"])
+def test_verify_detune_overflowing_square_fails_the_check(capsys, detune):
+    # the detuned omega is finite but its square is not: the residual check fails
+    code, out, err = run(capsys, "verify", "--detune", detune)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    fails = [ln for ln in lines if ln.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL eigen-residual-n3-m1  residual overflows: omega**2 ")
     assert lines[-1] == "28/29 checks passed"
 
 

@@ -322,10 +322,10 @@ def test_catalog_omega_is_the_state_frequency():
         assert case.omega is case.state.omega
 
 
-# fit_cm_width's result on each catalog case (Brent to 1e-7 omega); the fit is a
-# report beside the comparison and does not move with it
-_CATALOG_FITTED_BETA = {"n2m0Zm1": 0.50000001180596054, "n2m0Zp1": 0.50000000023559166,
-                        "n2m1Zp1": 0.16666666573517647, "n3m0Zp1": 0.083333333367969595}
+# fit_cm_width's result on each catalog case (Gauss-Newton from beta = omega); the
+# fit is a report beside the comparison and does not move with it
+_CATALOG_FITTED_BETA = {"n2m0Zm1": 0.5, "n2m0Zp1": 0.49999999999999994,
+                        "n2m1Zp1": 0.16666666666666669, "n3m0Zp1": 0.08333333333333635}
 
 
 @pytest.mark.parametrize("fit_width", [False, True])
@@ -338,6 +338,7 @@ def test_compare_density_routes_at_catalog_width(fit_width):
         assert cmp.max_rel_deviation <= 1e-13, case_id
         if fit_width:
             assert cmp.fit.beta == pytest.approx(beta_fitted, rel=1e-10), case_id
+            assert abs(cmp.fit.beta / cmp.beta_used - 1.0) <= 1e-12, case_id
         else:
             assert cmp.fit is None
 
@@ -357,23 +358,28 @@ def _catalog_fit_inputs(case_id):
     return case, hooke.build_wavefunction(case.branch()), lambda r: case.raw(r) * scale
 
 
-@pytest.mark.parametrize("case_id", sorted(observables.CATALOG))
-def test_fit_cm_width_converges_on_smooth_objective(case_id, monkeypatch):
-    case, wf, reference = _catalog_fit_inputs(case_id)
-    calls = []
-    convolve = observables._convolve
+def _spy(monkeypatch, name):
+    """Record the beta of every call of observables.<name>."""
+    calls, wrapped = [], getattr(observables, name)
 
     def spy(*args):
         calls.append(args[1])
-        return convolve(*args)
+        return wrapped(*args)
 
-    monkeypatch.setattr(observables, "_convolve", spy)
+    monkeypatch.setattr(observables, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case_id", sorted(observables.CATALOG))
+def test_fit_cm_width_converges_on_smooth_objective(case_id, monkeypatch):
+    case, wf, reference = _catalog_fit_inputs(case_id)
+    slopes, convolutions = _spy(monkeypatch, "_convolve_slope"), _spy(monkeypatch, "_convolve")
     fit = observables.fit_cm_width(wf, reference)
     monkeypatch.undo()
-    # bounded Brent on the mean square takes parabolic steps: 14-19 convolutions,
-    # against 27-31 on its V-shaped square root
-    assert len(calls) <= 20
-    assert abs(fit.beta / float(case.omega) - 1.0) <= 1e-7
+    # the catalog width is the minimum, so the first Gauss-Newton step from it is below
+    # 1e-9 beta; one convolution at the fitted beta gives the objective
+    assert len(slopes) <= 3 and len(convolutions) == 1
+    assert abs(fit.beta / float(case.omega) - 1.0) <= 1e-12
 
     pts = np.linspace(0.0, 6.0, 25)
     ref = np.asarray([reference(float(r)) for r in pts])
@@ -381,6 +387,31 @@ def test_fit_cm_width_converges_on_smooth_objective(case_id, monkeypatch):
     rel = (observables._convolve(wf, fit.beta, pts, "bessel", 1e-13, 1e-10)[mask]
            - ref[mask]) / ref[mask]
     assert fit.objective == math.sqrt(np.mean(rel * rel))
+
+
+@pytest.mark.parametrize("case_id", sorted(observables.CATALOG))
+def test_convolve_slope_matches_central_difference(case_id):
+    wf = observables.CATALOG[case_id].state
+    pts, beta = np.linspace(0.0, 6.0, 25), wf.omega
+    value, slope = observables._convolve_slope(wf, beta, pts, 1e-13, 1e-10)
+    h = 1e-5 * beta
+    above, below = (observables._convolve(wf, b, pts, "bessel", 1e-13, 1e-10)
+                    for b in (beta + h, beta - h))
+    scale = np.max(np.abs(slope))
+    assert np.max(np.abs(slope - (above - below) / (2.0 * h))) <= 1e-8 * scale
+    at = observables._convolve(wf, beta, pts, "bessel", 1e-13, 1e-10)
+    assert np.max(np.abs(value - at)) <= 1e-12 * at.max()
+
+
+@pytest.mark.parametrize("factor", [0.3, 2.5, 8.0])
+@pytest.mark.parametrize("case_id", sorted(observables.CATALOG))
+def test_fit_cm_width_recovers_off_centre_width(case_id, factor):
+    # a reference convolved at another width, reached from beta = omega through the bracket
+    wf = observables.CATALOG[case_id].state
+    beta = factor * wf.omega
+    fit = observables.fit_cm_width(
+        wf, lambda r: observables._convolve(wf, beta, np.array([r]), "bessel", 1e-13, 1e-10)[0])
+    assert abs(fit.beta / beta - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("value", [0.0, math.nan, -1.0])
