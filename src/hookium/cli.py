@@ -7,9 +7,9 @@ forms), entropy (radial profiles, Cartesian surfaces, frequency scans), qes
 named consistency suite).
 
 Exit codes: 0 success, 1 failed verification, 2 bad usage, configuration,
-out-of-range value or unwritable output, 3 no closed branch for the requested
-quantum numbers, 4 quadrature tolerance not reachable, 5 variational search
-failure.
+out-of-range value, unwritable output or a request too large for memory, 3 no
+closed branch for the requested quantum numbers, 4 quadrature tolerance not
+reachable, 5 variational search failure.
 """
 
 from __future__ import annotations
@@ -635,6 +635,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output path that cannot be written
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a size option (--N, --surface-points) beyond memory
+        print(f"error: out of memory: {exc or 'the request is too large'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .integrate import QuadratureNonConvergence, gauss_legendre
+from .integrate import gauss_legendre
 from .polyops import Poly, real_roots
 from .series import EulerPolynomial, MonomialOperator
 
@@ -62,11 +62,12 @@ class QuantizationBranch:
     solve_frequencies reads N+ off the branch's rank (repulsive branch k of B,
     in descending omega, has B - 1 - k; attractive branch k has n - B + k).
 
-    roots holds the read-only roots r_k of that polynomial, ascending: from
-    solve_frequencies, zeta_k / sqrt(omega_tilde), on a branch built from them
-    (integer |m|, and irrational omega or non-integer Z); from
-    build_wavefunction, on the state's copy of an exact-route branch. It is
-    empty otherwise, and takes no part in ==, hash or repr.
+    roots holds the read-only roots r_k of that polynomial, ascending, as
+    zeta_k / sqrt(omega_tilde): solve_frequencies gives them to every branch
+    with integer |m|, rational omega or not, and build_wavefunction to the
+    state's copy of a branch that came without them. It is empty otherwise
+    (non-integer |m|, n = 1, _exact_branches), and takes no part in ==, hash
+    or repr.
     """
 
     n: int
@@ -215,10 +216,10 @@ def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
     s = kappa^2; rational roots are kept exact so omega_tilde = Z^2 / s stays
     an exact Fraction where the closed forms are rational. Each branch's
     chamber follows from its rank k among the B branches: B - 1 - k for
-    Z > 0 and n - B + k for Z < 0. The chambers of every branch that
-    build_wavefunction builds from its roots are solved together, in one
-    damped Newton, and each such branch carries its roots; raises
-    EquilibriumError when a chamber does not converge or misses its kappa.
+    Z > 0 and n - B + k for Z < 0. At integer |m| the chambers of all B
+    branches are solved together, in one damped Newton, and every branch
+    carries its roots, exact frequency or not; raises EquilibriumError when a
+    chamber does not converge or misses its kappa.
     """
     return _with_roots(_exact_branches(n, m, Z))
 
@@ -318,12 +319,11 @@ class _RootProduct(Poly):
 class RadialWavefunction:
     """Normalized radial profile u(r) = norm * exp(-w r^2/2) r^(|m|+1/2) p(r).
 
-    A state built at irrational omega has a _RootProduct as poly: it stores
-    the roots r_k of p, every evaluation uses p(r) = prod(1 - r / r_k), and
-    the float coefficients (a_0 = 1) are expanded only for their readers.
-    Otherwise (rational omega, and profiles built elsewhere) p is poly itself,
-    with exact rational coefficients when the branch frequency is rational.
-    Evaluation is always in floats, by poly's own call.
+    A state from build_wavefunction has a _RootProduct as poly: it stores the
+    roots r_k of p, every evaluation uses p(r) = prod(1 - r / r_k), and the
+    float coefficients (a_0 = 1) are expanded only for their readers. A
+    profile built elsewhere (a sextic_state_to_hooke image) has a Poly of
+    coefficients. Evaluation is always in floats, by poly's own call.
     """
 
     m_abs: float
@@ -419,36 +419,6 @@ def _u2_range(wf: "RadialWavefunction") -> float:
     return math.sqrt((80.0 + 4.0 * k) / wf.omega)
 
 
-_NOISE_TOL = 1e-10   # allowed integrated float evaluation error of an exact-coefficient state
-
-
-def _certify(wf: RadialWavefunction) -> None:
-    """Raise QuadratureNonConvergence unless p, as evaluated in floats, is its exact value.
-
-    The shared Gauss rule (from 4 against 8 panels) integrates
-    N^2 exp(-omega r^2) r^(2|m|+1) |p^2 - p~^2|, with p the Horner value of the
-    exact coefficients and p~ = prod(1 - r / r_k) over the state's roots; it
-    must be within 1e-10 of 0. This measures the float evaluation error of p
-    directly, so a noisy state cannot pass by how its noise falls on the rule's
-    nodes, and roots that are not p's fail it too. An integral the rule cannot
-    certify fails with this certificate's message, chained to the rule's. That
-    u^2 integrates to 1 is the normalization's own certificate (build_wavefunction).
-    """
-    def noise(r):
-        return (wf.norm**2 * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1)
-                * np.abs(wf.poly(r) ** 2 - _RootProduct(wf.roots)(r) ** 2))
-    need = f"need it within {_NOISE_TOL:.0e}"
-    try:
-        error, _ = gauss_legendre(noise, 0.0, _u2_range(wf), panels=4, tol_abs=_NOISE_TOL, tol_rel=0.0)
-    except QuadratureNonConvergence as exc:
-        raise QuadratureNonConvergence(
-            f"the state as evaluated in floats carries evaluation error the rule cannot bound; {need}"
-        ) from exc
-    if not error <= _NOISE_TOL:
-        raise QuadratureNonConvergence(
-            f"the state as evaluated in floats carries evaluation error {error:.3e}; {need}")
-
-
 _NEWTON_STEPS = 100    # damped Newton steps allowed per chamber
 _STEP_TOL = 1e-13      # converged: a full step below this times max |zeta|
 _KAPPA_TOL = 1e-12     # allowed |-2 sum(zeta) - kappa| / |kappa|
@@ -467,50 +437,61 @@ def _equilibria(N: int, nu: float, chambers: list[int]) -> np.ndarray:
     to sqrt(2N + 2 nu + 1), each row's step halved until every root of the row
     stays in its chamber. A row stops once its full step is below 1e-13 of its
     max |zeta|; every operation is row by row, so the rows do not depend on
-    which chambers are solved together.
+    which chambers are solved together. A step costs a fixed number of numpy
+    calls: the chamber test is one sign pattern and one order test, and the
+    halving and finiteness tests run only for a step that leaves a chamber.
     """
-    n_neg = N - np.asarray(chambers)
+    chambers = np.asarray(chambers)
+    n_neg, j = (N - chambers)[:, None], np.arange(N)
+    neg = j < n_neg
     s = math.sqrt(2 * N + 2 * nu + 1)
-    z = np.array([np.concatenate([-s * (np.arange(k, 0, -1) - 0.5) / max(k, 1),
-                                  s * (np.arange(1, N - k + 1) - 0.5) / max(N - k, 1)])
-                  for k in n_neg.tolist()])
+    z = np.where(neg, -s * (n_neg - j - 0.5) / np.maximum(n_neg, 1),
+                 s * (j - n_neg + 0.5) / np.maximum(N - n_neg, 1))
+    sign = np.where(neg, -1.0, 1.0)   # each row's chamber: its roots' signs, ascending
+    off_diagonal = ~np.eye(N, dtype=bool)
     out = np.empty_like(z)
     active = np.arange(len(z))
+
+    def in_chamber(new, sign):
+        return (np.sign(new) == sign).all(1) & (new[:, 1:] > new[:, :-1]).all(1)
+
     for _ in range(_NEWTON_STEPS):
-        # one (rows, N, N) buffer holds the differences, their inverses, then the Hessians
+        # one (rows, N, N) buffer holds the differences, their inverses, then the Hessians;
+        # the diagonal keeps z_k - z_k = 0 until the Hessian's diagonal is written
         h = z[:, :, None] - z[:, None, :]
-        diag = h.reshape(len(z), -1)[:, ::N + 1]
-        diag[:] = 1.0
-        np.divide(1.0, h, out=h)
-        diag[:] = 0.0
+        np.divide(1.0, h, out=h, where=off_diagonal)
         grad = z - nu / z - h.sum(2)
-        np.negative(np.square(h, out=h), out=h)
-        diag[:] = 1.0 + nu / (z * z) - h.sum(2)
+        np.square(h, out=h)
+        diag = 1.0 + nu / (z * z) + h.sum(2)
+        np.negative(h, out=h)
+        h.reshape(len(z), -1)[:, ::N + 1] = diag
         step = np.linalg.solve(h, grad[:, :, None])[:, :, 0]
-        finite = np.isfinite(step).all(1)
-        if not finite.all():
-            active = active[~finite]
-            break
-        t = np.ones((len(z), 1))
-        while True:
-            new = z - t * step
-            inside = ((new[:, 1:] > new[:, :-1]).all(1) & (np.sum(new < 0, 1) == n_neg[active])
-                      & (np.sum(new > 0, 1) == N - n_neg[active]))
-            if inside.all():
+        new, full = z - step, True
+        inside = in_chamber(new, sign)
+        if not inside.all():
+            finite = np.isfinite(step).all(1)
+            if not finite.all():
+                active = active[~finite]
                 break
-            t[~inside] *= 0.5
+            t = np.ones((len(z), 1))
+            while not inside.all():
+                t[~inside] *= 0.5
+                new = z - t * step
+                inside = in_chamber(new, sign)
+            full = t[:, 0] == 1.0
         z = new
-        done = (t[:, 0] == 1.0) & (abs(step).max(1) <= _STEP_TOL * abs(z).max(1))
-        out[active[done]] = z[done]
-        active, z = active[~done], z[~done]
-        if not len(active):
-            return out
+        done = full & (abs(step).max(1) <= _STEP_TOL * abs(z).max(1))
+        if done.any():
+            out[active[done]] = z[done]
+            active, z, sign = active[~done], z[~done], sign[~done]
+            if not len(active):
+                return out
     raise EquilibriumError(f"damped Newton did not converge in {_NEWTON_STEPS} steps on the "
-                           f"chamber N+ = {N - n_neg[active[0]]} of N = {N} roots (nu = {nu})")
+                           f"chamber N+ = {chambers[active[0]]} of N = {N} roots (nu = {nu})")
 
 
 def _with_roots(branches: list[QuantizationBranch]) -> list[QuantizationBranch]:
-    """The branches, each one that build_wavefunction builds from roots now carrying them.
+    """The branches of one (n, m, Z), each carrying its roots when |m| is an integer.
 
     Their chambers are solved together (_equilibria), and kappa = -2 sum(zeta)
     ties each chamber to its branch: raises EquilibriumError unless
@@ -519,14 +500,10 @@ def _with_roots(branches: list[QuantizationBranch]) -> list[QuantizationBranch]:
     first = branches[0]
     if not float(first.m_abs).is_integer():
         return branches   # build_wavefunction builds no state at non-integer |m|
-    todo = [k for k, b in enumerate(branches) if not _exact_route(b)]
-    if not todo:
-        return branches
-    zeta = _equilibria(first.n - 1, float(first.m_abs) + 0.5, [branches[k].chamber for k in todo])
-    out = list(branches)
-    for k, row in zip(todo, zeta):
-        b = branches[k]
-        defect = abs(-2.0 * math.fsum(row) - b.kappa)
+    zeta = _equilibria(first.n - 1, float(first.m_abs) + 0.5, [b.chamber for b in branches])
+    out = []
+    for b, row in zip(branches, zeta):
+        defect = abs(-2.0 * math.fsum(row.tolist()) - b.kappa)
         bound = _KAPPA_TOL * abs(b.kappa)
         if not defect <= bound:
             raise EquilibriumError(
@@ -534,54 +511,32 @@ def _with_roots(branches: list[QuantizationBranch]) -> list[QuantizationBranch]:
                 f"|-2 sum(zeta) - kappa| = {defect:.3e}, above its bound {bound:.3e}")
         roots = row / math.sqrt(b.omega_tilde)
         roots.flags.writeable = False
-        out[k] = replace(b, roots=roots)
+        out.append(replace(b, roots=roots))
     return out
 
 
 def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
-    """Normalized u for a branch with integer |m|; the routes differ only in p.
+    """Normalized u for a branch with integer |m|, from the n - 1 roots of its p.
 
-    Exact route, when omega_tilde is rational and Z an integer (the n = 2, 3
-    closed forms and every rational root): the recurrence runs in r on exact
-    rationals (kappa = Z, omega = omega_tilde), and p is its Horner value. One
-    real_roots call gives its n - 1 roots, put on the state's copy of the
-    branch, and `_certify` rejects a state whose p strays from their product.
-
-    Root route, otherwise: p is prod(1 - r / r_k) on the branch's own roots
-    array, which solve_frequencies found as the Stieltjes equilibrium of the
-    branch's chamber; a branch that carries none has its chamber solved alone.
-
-    Both are normalized by the shared Gauss rule on u^2, from 8 against 16
-    panels, certified at 1e-13 relative. The node count and the entropy
-    breaks of either read the state's roots (wf.roots).
+    p is prod(1 - r / r_k) on the branch's own roots array, which
+    solve_frequencies found as the Stieltjes equilibrium of the branch's
+    chamber; a branch that carries none (as _exact_branches gives it) has its
+    chamber solved alone. Every state is built this way, the rational-omega
+    closed forms of n = 2, 3 too: their frequencies stay exact on the branch,
+    while p is evaluated from its roots like any other. u^2 is normalized by
+    the shared Gauss rule, from 8 against 16 panels, certified at 1e-13
+    relative. The node count and the entropy read the state's roots (wf.roots).
     """
     if not float(branch.m_abs).is_integer():
         raise ValueError(f"a trap state needs an integer |m|, got {branch.m!r}")
-    exact = _exact_route(branch)
-    if exact:
-        poly = Poly(recurrence_coefficients(Fraction(int(branch.Z)), 2 * (branch.n - 1),
-                                            branch.m_abs, branch.n, branch.omega_exact))
-        rational, irrational = real_roots(poly)
-        roots = np.array(sorted([float(x) for x in rational] + irrational))
-        roots.flags.writeable = False
-        branch = replace(branch, roots=roots)
-    else:
-        if len(branch.roots) != branch.n - 1:   # no roots yet: solve this chamber alone
-            branch = _with_roots([branch])[0]
-        poly = _RootProduct(branch.roots)
+    if len(branch.roots) != branch.n - 1:   # no roots yet: solve this chamber alone
+        branch = _with_roots([branch])[0]
     bare = RadialWavefunction(m_abs=float(branch.m_abs), omega=branch.omega_tilde, Z=float(branch.Z),
-                              eps_rel=branch.eps_rel, poly=poly, norm=1.0, branch=branch)
+                              eps_rel=branch.eps_rel, poly=_RootProduct(branch.roots), norm=1.0,
+                              branch=branch)
     total, _ = gauss_legendre(bare.u_squared, 0.0, _u2_range(bare), panels=8,
                               tol_abs=sys.float_info.min, tol_rel=1e-13)
-    wf = replace(bare, norm=1.0 / math.sqrt(total))
-    if exact:
-        _certify(wf)
-    return wf
-
-
-def _exact_route(branch: QuantizationBranch) -> bool:
-    """Whether build_wavefunction runs the exact recurrence (rational omega, integer Z)."""
-    return branch.omega_exact is not None and float(branch.Z).is_integer()
+    return replace(bare, norm=1.0 / math.sqrt(total))
 
 
 def _is_rational(x) -> bool:

@@ -21,6 +21,7 @@ from .hooke import (
     CenterOfMassState,
     QuantizationBranch,
     RadialWavefunction,
+    _RootProduct,
     _u2_range,
     build_wavefunction,
     solve_frequencies,
@@ -399,15 +400,19 @@ def compare_density_routes(case, grid=None, *, fit_width: bool = True,
     tol_abs and tol_rel are the convolution's budget, as in density_quadrature.
     The state and the closed form's normalization are the case's own (`state`,
     `scale`), computed once per case, so a call convolves and evaluates only.
-    Raises ValueError for a negative or non-finite radius, before any work.
+    Raises ValueError for a negative or non-finite radius, before any work,
+    and when the convolution underflows to 0 at every grid point.
     """
     case = _catalog_case(case)
     grid = _radii(np.linspace(0.0, 8.0, 81) if grid is None else grid)
     wf = case.state
-    closed = closed_form_density(case, grid)
-    fit = fit_cm_width(wf, lambda r: case.raw(r) * case.scale) if fit_width else None
     quad_vals = _convolve(wf, wf.omega, grid, angular, tol_abs, tol_rel)
     peak = quad_vals.max()
+    if not peak > 0:
+        raise ValueError(f"the convolved density of {case.case_id} is 0 on every grid point "
+                         f"(largest radius {float(grid.max())!r}); no deviation to measure")
+    closed = closed_form_density(case, grid)
+    fit = fit_cm_width(wf, lambda r: case.raw(r) * case.scale) if fit_width else None
     mask = quad_vals >= 1e-8 * peak
     dev = float(np.max(np.abs(quad_vals[mask] - closed.values[mask]) / quad_vals[mask]))
     return DensityComparison(case_id=case.case_id, grid=grid,
@@ -538,35 +543,39 @@ def _exact_sum(v: np.ndarray) -> float:
 
 
 def _entropy_on(wf: RadialWavefunction, edges: np.ndarray, total) -> float:
-    """S from the rule's four moments on the panels; `total` sums one moment's terms."""
+    """S from the rule's four moments on panels in rho; `total` sums one moment's terms."""
     half = 0.5 * np.diff(edges)[:, None]
-    r = edges[:-1, None] + half * (1.0 + _GL_X)
-    p2 = wf.poly(r) ** 2
-    q = half * _GL_W * np.exp(-wf.omega * r * r) * r ** (2 * wf.m_abs + 1) * p2
-    spread = wf.omega * total((q * (r * r)).ravel())
+    rho = edges[:-1, None] + half * (1.0 + _GL_X)
+    p2 = _RootProduct(wf.roots * math.sqrt(wf.omega))(rho) ** 2
+    q = half * _GL_W * np.exp(-rho * rho) * rho ** (2 * wf.m_abs + 1) * p2
+    weight = total(q.ravel())
+    spread = total((q * (rho * rho)).ravel())
     if wf.m_abs:
-        spread -= 2 * wf.m_abs * total((q * np.log(r)).ravel())
+        spread -= 2 * wf.m_abs * total((q * np.log(rho)).ravel())
     spread -= total((q * np.log(np.where(p2 > 0.0, p2, 1.0))).ravel())
-    return math.log(2.0 * math.pi / wf.norm**2) + spread / total(q.ravel())
+    return math.log(2.0 * math.pi * weight / wf.omega) + spread / weight
 
 
 def total_entropy(wf: RadialWavefunction, *, tol_abs: float = 1e-10,
                   tol_rel: float = 1e-9) -> float:
     """Position-space Shannon entropy S = -int u^2 ln(u^2/(2 pi r)) dr.
 
-    This is the planar integral -int G ln G d^2r reduced to the radius. With
-    u^2 = N^2 q, q = e^(-omega r^2) r^(2|m|+1) p(r)^2, the logarithm splits:
-    S = ln(2 pi / N^2) + (omega M2 - 2|m| L - P) / I over the moments
-    I = int q, M2 = int q r^2, L = int q ln r and P = int q ln p^2, so the
-    Gaussian and the power of r never pass through a float log. The moments
+    This is the planar integral -int G ln G d^2r reduced to the radius, for
+    u normalized; wf.norm is not read. In rho = sqrt(omega) r, with
+    q = e^(-rho^2) rho^(2|m|+1) p(rho)^2 and the moments I = int q,
+    M2 = int q rho^2, L = int q ln rho and P = int q ln p^2, the logarithm
+    splits: S = ln(2 pi I / omega) + (M2 - 2|m| L - P) / I. The Gaussian and
+    the power of rho never pass through a float log, and every moment is of
+    order 1 whatever omega is, so S + ln omega does not depend on omega. p is
+    the product over the state's roots scaled to rho (wf.roots). The moments
     are one pass of the 48-point Gauss-Legendre rule over panels graded toward
-    the origin and the nodes of p, where q ln r and q ln p^2 are not smooth,
+    the origin and the nodes of p, where q ln rho and q ln p^2 are not smooth,
     and one over their bisection. The finer value is returned;
     QuadratureNonConvergence is raised when the two differ by more than
-    max(tol_abs, tol_rel |S|). A profile with no roots (wf.roots), such as an
-    unnormalized sextic_state_to_hooke image, raises ValueError.
+    max(tol_abs, tol_rel |S|). A profile with no roots, such as a
+    sextic_state_to_hooke image, raises ValueError.
     """
-    edges = _entropy_edges(wf)
+    edges = _entropy_edges(wf) * math.sqrt(wf.omega)
     fine = np.empty(2 * edges.size - 1)
     fine[0::2], fine[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
     # the returned pass is summed exactly; the coarse one only sizes the error

@@ -112,15 +112,20 @@ def test_cli_import_skips_scipy_optimize_and_integrate():
     assert out.stdout.strip() == "[]"
 
 
-def test_density_both_leaves_scipy_optimize_unloaded():
-    # the width fit steps on its analytic slope, so no SciPy minimizer is imported
+def test_density_both_leaves_scipy_optimize_unloaded(tmp_path):
+    # README's own density command, in a fresh interpreter: the width fit steps on its
+    # analytic slope, so no SciPy minimizer is imported
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    command = next(ln for ln in text.splitlines() if ln.startswith("hookium density"))
     code = ("import sys; from hookium import cli; "
-            "code = cli.main(['density', '--case', 'n2m1Zp1', '--method', 'both']); "
+            f"code = cli.main({shlex.split(command)[1:]!r}); "
             "print(code, sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=_fresh_env(), check=True, timeout=120).stdout.splitlines()
+                         env=_fresh_env(HOOKIUM_OUT_DIR=str(tmp_path)), check=True,
+                         timeout=120).stdout.splitlines()
     assert "beta_fitted = 0.16666666666666669" in out
     assert out[-1] == "0 []"
+    assert (tmp_path / "dens.json").is_file()
 
 
 def test_solve_quadratic_branches_golden(capsys):
@@ -582,6 +587,28 @@ def test_unread_inputs_are_named(tmp_path, capsys, argv, config, named):
     assert run(capsys, *argv.split(), *extra) == (2, "", f"error: {named}\n")
 
 
+def test_density_both_on_an_all_zero_convolution_exits_2(capsys):
+    code, out, err = run(capsys, "density", "--case", "n2m0Zp1", "--method", "both",
+                         "--grid", "100:200:3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the convolved density of n2m0Zp1 is 0 on every grid point")
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["qes", "variational", "--nodes", "1", "--N", "100000"], "qes", "variational_state"),
+    (["entropy", "--n", "2", "--Z", "1", "--surface", "--surface-points", "100000"],
+     "observables", "entropy_surface"),
+])
+def test_memory_error_exits_2(capsys, monkeypatch, argv, module, name):
+    # the command's work is replaced by a MemoryError, so nothing large is allocated
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+    monkeypatch.setattr(getattr(cli, module), name, too_large)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array\n"
+
+
 @pytest.mark.parametrize("spelling", ["flag", "env"])
 def test_unwritable_out_dir_exits_2(tmp_path, spelling):
     blocker = tmp_path / "file"
@@ -598,6 +625,9 @@ def test_unwritable_out_dir_exits_2(tmp_path, spelling):
 
 
 def test_readme_library_block_runs():
+    # in a fresh interpreter with every warning an error, as a reader would paste it
     text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    exec(compile(block, "README.md ## Library", "exec"), {})
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", block], capture_output=True,
+                          text=True, env=_fresh_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -287,16 +287,17 @@ def _gamma_moment_norm(m_abs, omega, poly):
 @pytest.mark.parametrize("m", list(range(11)))
 @pytest.mark.parametrize("n", [2, 3])
 def test_norm_moment_sums_exact(n, m, Z):
-    # the built exact-coefficient state: its poly is the exact r-polynomial, its roots
-    # are that polynomial's real roots as floats, and the shared Gauss rule's norm
-    # equals the closed-form Gamma-moment norm
+    # the built state of an exact branch: its roots, from the chamber's equilibrium, are
+    # the exact r-polynomial's real roots to within one ulp, and the shared Gauss rule's
+    # norm of their product equals the closed-form Gamma-moment norm of that polynomial
     (b,) = hooke.solve_frequencies(n, m, Z)
     w, poly = _r_poly(b)
     wf = hooke.build_wavefunction(b)
-    assert wf.poly == poly
     rational, irrational = real_roots(poly)
-    assert wf.roots.tolist() == sorted([float(x) for x in rational] + irrational)
-    assert len(wf.roots) == n - 1 and not wf.roots.flags.writeable
+    want = sorted([float(x) for x in rational] + irrational)
+    assert len(wf.roots) == len(want) == n - 1 and not wf.roots.flags.writeable
+    for got, x in zip(wf.roots.tolist(), want):
+        assert abs(got - x) <= math.ulp(x), (got, x)
     assert wf.norm == pytest.approx(_gamma_moment_norm(m, w, poly), rel=1e-14, abs=0.0)
 
 
@@ -327,42 +328,6 @@ def test_norm_matches_adaptive_quadrature(m, Z):
 def test_norm_needs_integer_m():
     with pytest.raises(ValueError):
         hooke.build_wavefunction(hooke.oscillator_branch(1.5, 1.0))
-
-
-def test_certify_runs_on_coefficient_states_only(monkeypatch):
-    # the exact-coefficient states are certified against the product over their roots;
-    # a root-product state is evaluated from its roots and has nothing to certify
-    certified = []
-    certify = hooke._certify
-    monkeypatch.setattr(hooke, "_certify", lambda wf: certified.append(wf) or certify(wf))
-    built = [hooke.build_wavefunction(b)
-             for n in range(2, 7) for m in (0, 2) for Z in (1, -1, 2, -2)
-             for b in hooke.solve_frequencies(n, m, Z)]
-    built += [hooke.build_wavefunction(hooke.oscillator_branch(m, w))
-              for m in (0, 3) for w in (Fraction(1, 2), 2, 0.3)]
-    coefficient_form = [wf for wf in built if not isinstance(wf.poly, hooke._RootProduct)]
-    assert coefficient_form and len(coefficient_form) < len(built)
-    assert [id(wf) for wf in certified] == [id(wf) for wf in coefficient_form]
-
-
-@pytest.mark.parametrize("n, m, Z", [(2, 0, 1), (3, 1, -1), (3, 4, 2)])
-def test_certify_rejects_roots_that_are_not_the_polynomials(monkeypatch, n, m, Z):
-    # one exact-route root 1e-6 relative off: p, by Horner on the exact coefficients,
-    # no longer equals the product over the roots, and the build fails loudly
-    (b,) = hooke.solve_frequencies(n, m, Z)
-    assert b.omega_exact is not None and len(hooke.build_wavefunction(b).roots) == n - 1
-    exact_roots = hooke.real_roots
-
-    def shifted(p):
-        rational, irrational = exact_roots(p)
-        roots = sorted([float(x) for x in rational] + irrational)
-        roots[-1] *= 1.0 + 1e-6
-        return [], roots
-
-    monkeypatch.setattr(hooke, "real_roots", shifted)
-    # the certificate's own message, whether or not the rule could bound the integral
-    with pytest.raises(QuadratureNonConvergence, match="as evaluated in floats carries evaluation error"):
-        hooke.build_wavefunction(b)
 
 
 _VIRIAL_X, _VIRIAL_W = np.polynomial.legendre.leggauss(64)
@@ -476,13 +441,10 @@ def _single_chamber_roots(N, nu, n_pos):
 
 @pytest.mark.parametrize("m", [0, 5, 10])
 def test_batched_roots_match_single_chamber_newton(m):
-    # every chamber solved together equals its own solve bit for bit; exact branches carry none
+    # every chamber solved together equals its own solve bit for bit, exact branches too
     for n in DOMAIN_N:
         for Z in (1, -1, 2):
             for b in hooke.solve_frequencies(n, m, Z):
-                if b.omega_exact is not None:
-                    assert b.roots.size == 0
-                    continue
                 want = _single_chamber_roots(n - 1, m + 0.5, b.chamber) / math.sqrt(b.omega_tilde)
                 assert b.roots.tobytes() == want.tobytes(), (n, m, Z, b.chamber)
                 assert not b.roots.flags.writeable
@@ -512,11 +474,14 @@ def test_equilibrium_failures_are_loud(monkeypatch):
     monkeypatch.setattr(hooke, "_NEWTON_STEPS", 1)
     with pytest.raises(hooke.EquilibriumError):
         hooke.solve_frequencies(8, 0, -1)
-    assert hooke.solve_frequencies(3, 0, 1)[0].roots.size == 0   # exact branches solve no chamber
+    with pytest.raises(hooke.EquilibriumError):   # an exact branch solves its chamber too
+        hooke.solve_frequencies(3, 0, 1)
     monkeypatch.setattr(hooke, "_NEWTON_STEPS", 100)
     monkeypatch.setattr(hooke, "_KAPPA_TOL", -1.0)
     with pytest.raises(hooke.EquilibriumError):
         hooke.solve_frequencies(8, 0, -1)
+    with pytest.raises(hooke.EquilibriumError, match="N\\+ = 1 of N = 2"):   # a non-finite step
+        hooke._equilibria(2, math.nan, [1])
 
 
 def test_branches_with_roots_round_trip():
@@ -556,9 +521,12 @@ def test_residual_pass_matches_separate_calls(n, m, Z):
 
 
 def test_wavefunction_exact_coefficients():
+    # p(r) = 1 + r: a1 = kappa/(2m+1) in rho is Z/(2m+1) = 1 in r, so the one root is -1;
+    # the state holds it as the chamber's equilibrium, within an ulp of the exact value
     wf = hooke.build_wavefunction(hooke.solve_frequencies(2, 0, 1)[0])
-    assert wf.poly.degree == 1
-    assert wf.poly.coeffs[1] == Fraction(1)  # a1 = kappa/(2m+1) in r after sqrt(omega) scaling
+    assert isinstance(wf.poly, hooke._RootProduct) and wf.poly.degree == 1
+    assert abs(wf.roots[0] + 1.0) <= math.ulp(1.0)
+    assert wf.poly.coeffs[0] == 1.0 and abs(wf.poly.coeffs[1] - 1.0) <= math.ulp(1.0)
 
 
 def test_eigen_residual_sweep():

@@ -246,6 +246,35 @@ def test_compare_density_routes_rejects_negative_radii():
             observables.compare_density_routes("n2m0Zp1", grid, fit_width=False)
 
 
+@pytest.mark.parametrize("fit_width", [False, True])
+def test_compare_density_routes_rejects_an_all_zero_convolution(fit_width):
+    # far out the convolution underflows to 0 everywhere: its peak is 0, and 0/0 once gave nan
+    with pytest.raises(ValueError, match="0 on every grid point"):
+        observables.compare_density_routes("n2m0Zp1", np.linspace(100.0, 200.0, 3),
+                                           fit_width=fit_width)
+
+
+def _oscillator_profile(m, omega):
+    """The n = 1 profile with norm 1: total_entropy reads its shape, not its norm."""
+    b = hooke.oscillator_branch(m, omega)
+    return hooke.RadialWavefunction(m_abs=float(m), omega=omega, Z=0.0, eps_rel=b.eps_rel,
+                                    poly=hooke._RootProduct(b.roots), norm=1.0, branch=b)
+
+
+@pytest.mark.parametrize("m", [0, 3, 10])
+def test_entropy_plus_log_omega_is_scale_free(m):
+    # in rho = sqrt(omega) r every moment is of order 1, so S(omega) + ln omega equals its
+    # omega = 1 value to the rounding of S and ln omega, from omega = 1e-300 to 1e300
+    # (no float holds the norm there at |m| = 3 and 10)
+    want = observables.total_entropy(_oscillator_profile(m, 1.0))
+    for omega in [x * 10.0**e for e in range(-300, 301, 50) for x in (1.0, 3.7)]:
+        if omega > 1e300:
+            continue
+        S = observables.total_entropy(_oscillator_profile(m, omega))
+        scale = max(abs(S), abs(math.log(omega)), want)
+        assert abs(S + math.log(omega) - want) <= 2 * math.ulp(scale), (m, omega)
+
+
 @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
 @pytest.mark.parametrize("profile", [
     lambda wf, grid: observables.density_quadrature(wf, hooke.CenterOfMassState(beta=0.5), grid),
@@ -484,9 +513,40 @@ def test_total_entropy_matches_adaptive_oracle(n, m, Z):
     assert built
 
 
+# S at 46 digits by mpmath at 50: kappa refined on the exact s-polynomial, the rho
+# recurrence for p, and S = ln(2 pi I / omega) + (M2 - 2|m| L - P) / I from mpmath.quad
+# moments split at p's positive roots. (n, m, Z, branch index) of closed forms whose
+# error exceeded 10 ulp when the moments were taken in r, of nearby ones, of the README
+# state, and of five branches solved only from their roots.
+_ENTROPY_REFERENCES = {
+    (2, 6, -2, 0): "5.652005245588420621004033698079092698858222952",
+    (2, 10, 1, 0): "7.498570548049726883334993225046832829799829090",
+    (3, 10, 2, 0): "7.550329300382165099018250404680310200700352631",
+    (3, 10, -2, 0): "7.947640332897061760726944607594427430529971269",
+    (2, 10, 2, 0): "6.112276186929836264500528982130479693648828821",
+    (3, 8, 2, 0): "7.250032470326974635450404339438955461245184535",
+    (2, 8, 1, 0): "7.186595817874236492201777430651685991607024427",
+    (3, 9, -2, 0): "7.802427651971190749365621461916715900670732587",
+    (2, 0, -1, 0): "3.481530274871590291810693822076709871291479943",
+    (10, 10, 1, 2): "11.47611010706343353151622189971195903584270881",
+    (12, 10, 1, 3): "12.23027547604307957301997959172807295777006036",
+    (7, 10, -1, 2): "12.01918751595567099402185165830039583507615363",
+    (7, 10, 1, 2): "11.32807495820163901841991792391605841806417268",
+    (12, 10, 1, 5): "12.75684634739522143833539802445717424334355327",
+}
+
+
+@pytest.mark.parametrize("n, m, Z, k", sorted(_ENTROPY_REFERENCES))
+def test_total_entropy_within_5_ulp_of_references(n, m, Z, k):
+    from decimal import Decimal
+    want = Fraction(Decimal(_ENTROPY_REFERENCES[n, m, Z, k]))
+    got = observables.total_entropy(hooke.build_wavefunction(hooke.solve_frequencies(n, m, Z)[k]))
+    assert abs(Fraction(got) - want) <= 5 * Fraction(math.ulp(float(want))), float(Fraction(got) - want)
+
+
 def test_total_entropy_tolerances():
-    # its P and 2P panel sums differ by 1.1e-15 relative, so a zero budget must fail
-    wf = hooke.build_wavefunction(hooke.solve_frequencies(12, 0, -1)[2])
+    # its P and 2P panel sums differ by 2.0e-16 relative, so a zero budget must fail
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(8, 2, -1)[1])
     with pytest.raises(QuadratureNonConvergence):
         observables.total_entropy(wf, tol_abs=1e-30, tol_rel=0.0)
     for bad in (0.0, math.nan):
@@ -541,17 +601,18 @@ def test_exact_sum_many_seeded_arrays():
         assert observables._exact_sum(v).hex() == math.fsum(v.tolist()).hex()
 
 
-@pytest.mark.parametrize("bad", [
-    math.nan,
-    # the coarse pass's numpy sums warn on inf - inf before the budget check raises
-    pytest.param(math.inf, marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+@pytest.mark.parametrize("root", [
+    pytest.param(math.nan, id="nan"),   # every factor 1 - rho / root is nan
+    # every factor is 1 - rho / -0.0 = inf; the coarse pass's numpy sums warn on inf - inf
+    pytest.param(-0.0, id="inf", marks=[
+        pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning"),
+        pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")]),
 ])
-def test_total_entropy_non_finite_term_is_loud(bad):
+def test_total_entropy_non_finite_term_is_loud(root):
     import dataclasses
-    from hookium.polyops import Poly
-    wf = hooke.build_wavefunction(hooke.oscillator_branch(0, Fraction(1, 2)))
-    broken = dataclasses.replace(wf, poly=Poly((bad,)))   # every moment's terms are non-finite
-    with pytest.raises(QuadratureNonConvergence):
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(2, 0, 1)[0])
+    broken = dataclasses.replace(wf, branch=dataclasses.replace(wf.branch, roots=np.array([root])))
+    with pytest.raises(QuadratureNonConvergence):   # every moment's terms are non-finite
         observables.total_entropy(broken)
 
 
