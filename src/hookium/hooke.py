@@ -525,7 +525,9 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
     closed forms of n = 2, 3 too: their frequencies stay exact on the branch,
     while p is evaluated from its roots like any other. u^2 is normalized by
     the shared Gauss rule, from 8 against 16 panels, certified at 1e-13
-    relative. The node count and the entropy read the state's roots (wf.roots).
+    relative; a norm integral that is not a finite positive number (u^2
+    outside the float range at an extreme omega) raises ValueError. The node
+    count and the entropy read the state's roots (wf.roots).
     """
     if not float(branch.m_abs).is_integer():
         raise ValueError(f"a trap state needs an integer |m|, got {branch.m!r}")
@@ -536,6 +538,9 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
                               branch=branch)
     total, _ = gauss_legendre(bare.u_squared, 0.0, _u2_range(bare), panels=8,
                               tol_abs=sys.float_info.min, tol_rel=1e-13)
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"the norm integral of u^2 is {float(total)!r}, not a finite positive number, "
+                         f"at omega={bare.omega!r}, |m|={branch.m_abs}")
     return replace(bare, norm=1.0 / math.sqrt(total))
 
 

@@ -486,12 +486,20 @@ def _entropy_edges(wf: RadialWavefunction) -> np.ndarray:
     The breaks are 0, each of the state's roots in (0, R) (its nodes),
     min(6/sqrt(omega), R) and R. Each interval is graded geometrically toward
     each end at 0 or at a node; with both ends such points, each side takes
-    half the interval. A profile with no roots raises ValueError.
+    half the interval. The break at 6/sqrt(omega) is left out when a node lies
+    within 0.5/sqrt(omega) of it: an ungraded panel starting there would begin
+    next to the logarithmic singularity of ln p^2. A profile with no roots
+    raises ValueError.
     """
     R = wf.support_radius(140.0)
     roots = wf.roots
-    singular = {0.0, *roots[(roots > 0) & (roots < R)].tolist()}
-    breaks = sorted(singular | {min(6.0 / math.sqrt(wf.omega), R), R})
+    nodes = roots[(roots > 0) & (roots < R)]
+    singular = {0.0, *nodes.tolist()}
+    breaks = singular | {R}
+    far = 6.0 / math.sqrt(wf.omega)
+    if not np.any(np.abs(nodes - far) < far / 12):
+        breaks.add(min(far, R))
+    breaks = sorted(breaks)
     edges = [0.0]
     for a, b in zip(breaks, breaks[1:]):
         lo, hi = a in singular, b in singular

@@ -103,13 +103,23 @@ def test_cli_solves_only_the_chambers_it_reads(capsys, monkeypatch):
 
 
 def test_cli_import_skips_scipy_optimize_and_integrate():
-    # SciPy is imported where it is used (the adaptive oracle, Bessel values); a
-    # cold start loads none of it
+    # SciPy is imported where it is used (the Bessel values); a cold start loads none of it
     code = ("import sys, hookium.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_fresh_env(), check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_leaves_scipy_integrate_and_optimize_unloaded():
+    # the adaptive oracle behind verify's two quadrature checks is the package's own
+    # Gauss-Kronrod pair; scipy.integrate would pull in scipy.optimize too
+    code = ("import sys; from hookium import cli; code = cli.main(['verify']); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_fresh_env(), check=True, timeout=120).stdout.splitlines()
+    assert out[-2:] == ["29/29 checks passed", "0 []"]
 
 
 def test_density_both_leaves_scipy_optimize_unloaded(tmp_path):
@@ -477,6 +487,25 @@ def test_nonpositive_n_exits_2(capsys, argv):
         assert run(capsys, *argv.format(n).split()) == (2, "", "error: n must be >= 1\n")
     code, _, err = run(capsys, *argv.format("1").split())
     assert (code, err) == (3, "error: n = 1 exists only at Z = 0; use oscillator_branch\n")
+
+
+@pytest.mark.parametrize("command", ["entropy", "density"])
+def test_norm_underflow_at_extreme_omega_exits_2(capsys, command):
+    # at omega = 1e100 u^2 of |m| = 3 underflows to 0 everywhere: a typed error, not a traceback
+    code, out, err = run(capsys, command, "--n", "1", "--m", "3", "--Z", "0", "--omega", "1e100")
+    assert (code, out) == (2, "")
+    assert err == ("error: the norm integral of u^2 is 0.0, not a finite positive number, "
+                   "at omega=1e+100, |m|=3\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["entropy", "density"])
+def test_norm_overflow_at_extreme_omega_exits_4(capsys, command):
+    # at omega = 1e-100 u^2 overflows to inf, which the norm's error budget rejects
+    code, out, err = run(capsys, command, "--n", "1", "--m", "3", "--Z", "0", "--omega", "1e-100")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: quadrature did not converge") and "value=inf" in err
 
 
 @pytest.mark.parametrize("argv, message", [

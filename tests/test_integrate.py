@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from hookium import integrate
-from hookium.integrate import _GL_W, _GL_X, QuadratureNonConvergence, _panel_table, gauss_legendre
+from hookium import hooke, integrate
+from hookium.integrate import (_GL_W, _GL_X, QuadratureNonConvergence, _panel_table, adaptive_quad,
+                               gauss_legendre)
 
 
 def _fixed_pair(f, a, b, panels):
@@ -144,3 +146,81 @@ def test_bad_tolerance_raises_before_f_runs(tol_abs, tol_rel):
         raise AssertionError("f ran")
     with pytest.raises(ValueError, match="tolerances"):
         gauss_legendre(f, 0.0, 1.0, panels=1, tol_abs=tol_abs, tol_rel=tol_rel)
+    with pytest.raises(ValueError, match="tolerances"):
+        adaptive_quad(f, 0.0, 1.0, tol_abs=tol_abs, tol_rel=tol_rel, points=[0.5])
+
+
+def _verify_norm_case():
+    wf = hooke.build_wavefunction(hooke.solve_frequencies(3, 1, -1)[0])
+    return wf.u_squared, 0.0, wf.support_radius(), {"tol_abs": 1e-12}
+
+
+def _verify_cm_case():
+    cm = hooke.CenterOfMassState(beta=2.0)
+    return lambda R: 2.0 * math.pi * R * cm.probability(R), 0.0, 12.0, {"tol_abs": 1e-12}
+
+
+ORACLE_CASES = {
+    # verify's two adaptive checks, as they call the oracle
+    "radial-normalization": _verify_norm_case,
+    "cm-state-normalized": _verify_cm_case,
+    # an integrable singularity at an end, and a log singularity at an interior point
+    "endpoint-sqrt": lambda: (lambda x: x ** -0.5, 0.0, 1.0, {}),
+    "interior-log": lambda: (lambda x: math.log(abs(x - 0.3)), 0.0, 1.0, {"points": [0.3]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_adaptive_quad_agrees_with_quadpack_within_its_budget(case):
+    f, a, b, kwargs = ORACLE_CASES[case]()
+    value, err = adaptive_quad(f, a, b, **kwargs)
+    budget = max(kwargs.get("tol_abs", 1e-12), 1e-10 * abs(value))
+    assert err <= budget
+    want, want_err = scipy.integrate.quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200,
+                                          points=kwargs.get("points"))
+    assert want_err <= 1e-13 * abs(want)
+    assert abs(value - want) <= budget
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+def test_adaptive_quad_at_its_interval_limit_raises_with_the_estimate():
+    g, calls = _counted(lambda x: x ** -0.5)
+    with pytest.raises(QuadratureNonConvergence, match=r"value=1\.99\d+e\+00"):
+        adaptive_quad(g, 0.0, 1.0, tol_abs=1e-300, tol_rel=0.0, limit=10)
+    # 21 nodes on [0, 1], then 42 for each of the 9 bisections that make 10 intervals
+    assert len(calls) == 21 * (2 * 10 - 1)
+    assert all(0.0 < x < 1.0 for x in calls)
+
+
+def test_adaptive_quad_stops_where_a_midpoint_no_longer_splits(monkeypatch):
+    # a rule whose estimate grows as its interval shrinks drives one interval of [1, 2]
+    # down to adjacent floats, 52 bisections deep, where the bisection must stop
+    widths = []
+
+    def rule(f, a, b):
+        widths.append(b - a)
+        return b - a, 1.0 / (b - a)
+    monkeypatch.setattr(integrate, "_kronrod21", rule)
+    with pytest.raises(QuadratureNonConvergence):
+        adaptive_quad(math.exp, 1.0, 2.0, limit=10**6)
+    assert len(widths) == 1 + 2 * 52
+    assert min(widths) == math.ulp(1.0)
+
+
+@pytest.mark.parametrize("f", [lambda x: math.nan if x > 0.7 else x,
+                               lambda x: math.inf if x > 0.7 else x,
+                               lambda x: -math.inf if x < 0.2 else math.inf if x > 0.7 else x],
+                         ids=["nan", "inf", "inf-minus-inf"])
+def test_adaptive_quad_fails_loudly_on_a_nonfinite_integrand(f):
+    g, calls = _counted(f)
+    with pytest.raises(QuadratureNonConvergence, match="error estimate nan"):
+        adaptive_quad(g, 0.0, 1.0, limit=10**6)
+    assert len(calls) == 21   # the first sum is not finite, so nothing is bisected
