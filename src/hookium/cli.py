@@ -128,7 +128,7 @@ def _single(values, flag):
 
 
 def _resolve_branch(n, m, Z, omega, index):
-    """One quantization branch, or the Coulomb-free Gaussian when Z = 0; no roots solved."""
+    """One quantization branch, with its roots, or the Coulomb-free Gaussian when Z = 0."""
     if Z == 0:
         if omega is None:
             raise ConfigError("Z = 0 has no closure condition; pass --omega")
@@ -137,7 +137,7 @@ def _resolve_branch(n, m, Z, omega, index):
         return hooke.oscillator_branch(m, parse_rational(omega))
     if omega is not None:
         raise ConfigError("omega is fixed by the closure condition when Z != 0")
-    branches = hooke._exact_branches(n, m, Z)
+    branches = hooke.solve_frequencies(n, m, Z)
     if not 0 <= index < len(branches):
         raise ConfigError(f"branch index {index} out of range; "
                           f"{len(branches)} branch(es) for n={n}, m={m}, Z={Z}")
@@ -166,7 +166,7 @@ def cmd_solve(args) -> int:
     rows = []
     for m in parse_int_range(args.m):
         for Z in parse_number_list(args.Z):
-            for b in hooke._exact_branches(args.n, m, Z):   # frequencies need no roots
+            for b in hooke.solve_frequencies(args.n, m, Z):
                 rows.append((b.n, b.m, b.Z, b.kappa, b.omega_tilde,
                              b.eps_rel, 2.0 * b.eps_rel))
     text = render_csv(("n", "m", "Z", "kappa", "omega", "eps_rel", "eps_rel_doubled"), rows)
@@ -214,6 +214,8 @@ def cmd_density(args) -> int:
         grid = build_grid(args.grid, args.spacing, case.omega)
         case_id = case.case_id
     else:
+        if args.method != "quadrature":
+            raise ConfigError(f"--method {args.method} needs --case")
         if args.n is None or args.Z is None:
             raise ConfigError("pass --case or the full --n/--m/--Z set")
         branch = _resolve_branch(args.n, _single(parse_int_range(args.m), "--m"),
@@ -229,8 +231,6 @@ def cmd_density(args) -> int:
     extra = {}
     outputs = []
     if args.method == "closed":
-        if case is None:
-            raise ConfigError("--method closed needs --case")
         profile = observables.closed_form_density(case, grid)
         outputs.append(("", profile))
     elif args.method == "quadrature":
@@ -241,8 +241,6 @@ def cmd_density(args) -> int:
                                                  tol_abs=tol_abs, tol_rel=tol_rel)
         outputs.append(("", profile))
     else:
-        if case is None:
-            raise ConfigError("--method both needs --case")
         cmp = observables.compare_density_routes(case, grid, fit_width=not args.no_fit,
                                                  angular=args.angular,
                                                  tol_abs=tol_abs, tol_rel=tol_rel)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .integrate import gauss_legendre
-from .polyops import Poly, real_roots
+from .polyops import Poly, _derivative, _integer_form, _polish, _primitive, _scaled_value
 from .series import EulerPolynomial, MonomialOperator
 
 __all__ = [
@@ -59,15 +59,13 @@ class QuantizationBranch:
     the number of positive roots (nodes) of that polynomial. In rho =
     sqrt(omega_tilde) r its roots are the one critical point of the Stieltjes
     energy in the chamber of configurations with N+ positive roots, and
-    solve_frequencies reads N+ off the branch's rank (repulsive branch k of B,
-    in descending omega, has B - 1 - k; attractive branch k has n - B + k).
+    solve_frequencies takes the branch from that chamber: kappa = -2 sum(zeta).
 
     roots holds the read-only roots r_k of that polynomial, ascending, as
-    zeta_k / sqrt(omega_tilde): solve_frequencies gives them to every branch
-    with integer |m|, rational omega or not, and build_wavefunction to the
-    state's copy of a branch that came without them. It is empty otherwise
-    (non-integer |m|, n = 1, _exact_branches), and takes no part in ==, hash
-    or repr.
+    zeta_k / sqrt(omega_tilde): solve_frequencies gives them to every branch,
+    and build_wavefunction to the state's copy of a branch that came without
+    them. It is empty otherwise (n = 1, or a branch built by hand), and takes
+    no part in ==, hash or repr.
     """
 
     n: int
@@ -212,40 +210,36 @@ def _branch_from_s(n, m, Z, s_exact: Fraction | None, s_float: float, chamber: i
 def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
     """All admissible frequencies for a degree-(n-1) polynomial state, descending in omega.
 
-    Frequencies follow from positive roots of the quantization polynomial in
-    s = kappa^2; rational roots are kept exact so omega_tilde = Z^2 / s stays
-    an exact Fraction where the closed forms are rational. Each branch's
-    chamber follows from its rank k among the B branches: B - 1 - k for
-    Z > 0 and n - B + k for Z < 0. At integer |m| the chambers of all B
-    branches are solved together, in one damped Newton, and every branch
-    carries its roots, exact frequency or not; raises EquilibriumError when a
-    chamber does not converge or misses its kappa.
+    The branches are the Stieltjes chambers (_equilibria) of the N = n - 1
+    roots: N+ = B - 1, ..., 0 for Z > 0 and N - B + 1, ..., N for Z < 0, with
+    B = n // 2, all solved in one damped Newton, in ascending s = kappa^2 =
+    (2 sum zeta)^2. Each s is polished by exact Newton on the s-polynomial
+    (the part of quantization_polynomial in kappa^2). A rational root is kept
+    exact: with L the leading coefficient of the s-polynomial's primitive
+    integer form, k = round(s L) is taken when k / L is a root, so omega_tilde
+    = Z^2 / s stays an exact Fraction where the closed forms are rational.
+    Every branch carries its chamber's roots; raises EquilibriumError when a
+    chamber does not converge or misses its polished kappa.
     """
-    return _with_roots(_exact_branches(n, m, Z))
-
-
-def _exact_branches(n: int, m, Z) -> list[QuantizationBranch]:
-    """solve_frequencies without the Stieltjes roots: every branch's roots array is empty."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n < 2:
         raise NoBranchError("n = 1 exists only at Z = 0; use oscillator_branch")
     if Z == 0:
         raise NoBranchError("Z = 0 has no quantized frequency; use oscillator_branch")
-    q = quantization_polynomial(n, m)
-    even, odd = q.even_odd_parts()
+    even, odd = quantization_polynomial(n, m).even_odd_parts()
     # parity: a_n contains only kappa^n, kappa^(n-2), ...
-    s_poly = odd if n % 2 else even
-    if s_poly.is_zero() or s_poly.degree < 1:
-        raise NoBranchError(f"no admissible coupling for n={n}, m={m}")
-    rational, irrational = real_roots(s_poly)
-    roots = [(float(s), s) for s in rational if s > 0] + [(s, None) for s in irrational if s > 1e-12]
-    if not roots:
-        raise NoBranchError(f"no positive root of the quantization polynomial for n={n}, m={m}")
-    roots.sort(key=lambda root: root[0])   # ascending s = Z^2 / omega: descending omega
-    B = len(roots)
-    return [_branch_from_s(n, m, Z, exact, s, B - 1 - k if Z > 0 else n - B + k)
-            for k, (s, exact) in enumerate(roots)]
+    P, D = _integer_form(odd if n % 2 else even)
+    dP, L = _derivative(P), abs(_primitive(P)[-1])
+    N, B = n - 1, n // 2
+    chambers = list(range(B - 1, -1, -1) if Z > 0 else range(N - B + 1, N + 1))
+    out = []
+    for chamber, zeta in zip(chambers, _equilibria(N, float(abs(m)) + 0.5, chambers)):
+        s = _polish(P, dP, D, (2.0 * math.fsum(zeta.tolist())) ** 2)
+        k = round(Fraction(s) * L)
+        exact = None if _scaled_value(P, k, L) else Fraction(k, L)
+        out.append(_rooted(_branch_from_s(n, m, Z, exact, s, chamber), zeta))
+    return out
 
 
 def oscillator_branch(m, omega_tilde) -> QuantizationBranch:
@@ -490,29 +484,21 @@ def _equilibria(N: int, nu: float, chambers: list[int]) -> np.ndarray:
                            f"chamber N+ = {chambers[active[0]]} of N = {N} roots (nu = {nu})")
 
 
-def _with_roots(branches: list[QuantizationBranch]) -> list[QuantizationBranch]:
-    """The branches of one (n, m, Z), each carrying its roots when |m| is an integer.
+def _rooted(branch: QuantizationBranch, zeta: np.ndarray) -> QuantizationBranch:
+    """The branch carrying the roots zeta / sqrt(omega_tilde) of its chamber's equilibrium.
 
-    Their chambers are solved together (_equilibria), and kappa = -2 sum(zeta)
-    ties each chamber to its branch: raises EquilibriumError unless
-    |-2 sum(zeta) - kappa| <= 1e-12 |kappa|.
+    kappa = -2 sum(zeta) ties the chamber to the branch: raises
+    EquilibriumError unless |-2 sum(zeta) - kappa| <= 1e-12 |kappa|.
     """
-    first = branches[0]
-    if not float(first.m_abs).is_integer():
-        return branches   # build_wavefunction builds no state at non-integer |m|
-    zeta = _equilibria(first.n - 1, float(first.m_abs) + 0.5, [b.chamber for b in branches])
-    out = []
-    for b, row in zip(branches, zeta):
-        defect = abs(-2.0 * math.fsum(row.tolist()) - b.kappa)
-        bound = _KAPPA_TOL * abs(b.kappa)
-        if not defect <= bound:
-            raise EquilibriumError(
-                f"the chamber N+ = {b.chamber} of (n, m) = ({b.n}, {b.m}) gives "
-                f"|-2 sum(zeta) - kappa| = {defect:.3e}, above its bound {bound:.3e}")
-        roots = row / math.sqrt(b.omega_tilde)
-        roots.flags.writeable = False
-        out.append(replace(b, roots=roots))
-    return out
+    defect = abs(-2.0 * math.fsum(zeta.tolist()) - branch.kappa)
+    bound = _KAPPA_TOL * abs(branch.kappa)
+    if not defect <= bound:
+        raise EquilibriumError(
+            f"the chamber N+ = {branch.chamber} of (n, m) = ({branch.n}, {branch.m}) gives "
+            f"|-2 sum(zeta) - kappa| = {defect:.3e}, above its bound {bound:.3e}")
+    roots = zeta / math.sqrt(branch.omega_tilde)
+    roots.flags.writeable = False
+    return replace(branch, roots=roots)
 
 
 def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
@@ -520,7 +506,7 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
 
     p is prod(1 - r / r_k) on the branch's own roots array, which
     solve_frequencies found as the Stieltjes equilibrium of the branch's
-    chamber; a branch that carries none (as _exact_branches gives it) has its
+    chamber; a branch that carries none (a copy made without them) has its
     chamber solved alone. Every state is built this way, the rational-omega
     closed forms of n = 2, 3 too: their frequencies stay exact on the branch,
     while p is evaluated from its roots like any other. u^2 is normalized by
@@ -532,7 +518,8 @@ def build_wavefunction(branch: QuantizationBranch) -> RadialWavefunction:
     if not float(branch.m_abs).is_integer():
         raise ValueError(f"a trap state needs an integer |m|, got {branch.m!r}")
     if len(branch.roots) != branch.n - 1:   # no roots yet: solve this chamber alone
-        branch = _with_roots([branch])[0]
+        branch = _rooted(branch, _equilibria(branch.n - 1, float(branch.m_abs) + 0.5,
+                                             [branch.chamber])[0])
     bare = RadialWavefunction(m_abs=float(branch.m_abs), omega=branch.omega_tilde, Z=float(branch.Z),
                               eps_rel=branch.eps_rel, poly=_RootProduct(branch.roots), norm=1.0,
                               branch=branch)

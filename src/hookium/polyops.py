@@ -285,6 +285,28 @@ def sturm_count(p: Poly, lo, hi) -> int:
 _POLISH_STEPS = 4   # exact Newton steps per float root
 
 
+def _polish(P, dP, D, x: float) -> float:
+    """x after at most 4 Newton steps on p = P / D (dP = P'), each evaluated exactly.
+
+    p(x) and p'(x) are exact integer Horner sums, each rounded once; the loop
+    stops early at a zero slope, a fixed point or a step below 1e-17 relative.
+    """
+    for _ in range(_POLISH_STEPS):
+        # int / int rounds correctly, as float(Fraction) does
+        num, den = x.as_integer_ratio()
+        fx = _scaled_value(P, num, den) / (den ** (len(P) - 1) * D)
+        dfx = _scaled_value(dP, num, den) / (den ** (len(dP) - 1) * D)
+        if dfx == 0.0:
+            break
+        step = fx / dfx
+        if x - step == x:   # a fixed point: the step depends on x alone
+            break
+        x -= step
+        if abs(step) <= 1e-17 * max(1.0, abs(x)):
+            break
+    return x
+
+
 def real_roots(p: Poly):
     """All real roots of p with multiplicity: (rational list, float list).
 
@@ -293,14 +315,15 @@ def real_roots(p: Poly):
     is k / L for an integer k; each companion-matrix root z, complex ones
     included (a repeated root may split into a near-real pair), proposes
     k = round(Re z * L), kept if p(k / L) = 0 exactly. The search is complete
-    when some companion root lies within 1 / (2L) of each rational root. That
-    holds for the s-polynomials of `hooke.solve_frequencies`, whose primitive
-    form is monic (L = 1). Float coefficients skip the search: their binary
-    rationals mean nothing.
+    when some companion root lies within 1 / (2L) of each rational root. The
+    callers are `qes.sector_energies` and `series.indicial_roots`;
+    `hooke.solve_frequencies` takes the roots of its s-polynomials from the
+    Stieltjes chambers and shares only the Newton polish. Float coefficients
+    skip the search: their binary rationals mean nothing.
 
     What remains goes to the companion matrix again (only if something was
     deflated and a non-constant factor is left); roots with |imag| < 1e-10 are
-    kept and polished by Newton steps against the exact coefficients.
+    kept and polished by Newton steps against the exact coefficients (_polish).
     """
     inexact = any(isinstance(c, float) for c in p.coeffs)
     p = p.as_fractions()
@@ -325,24 +348,6 @@ def real_roots(p: Poly):
                 P, D = _integer_form(p)
         if p.degree < degree:
             roots = np.roots([float(c) for c in reversed(p.coeffs)]) if p.degree else np.empty(0)
-    irrational: list[float] = []
     dP = _derivative(P)
-    for z in roots:
-        if abs(z.imag) >= 1e-10:
-            continue
-        x = float(z.real)
-        for _ in range(_POLISH_STEPS):
-            # int / int rounds correctly, as float(Fraction) does
-            num, den = x.as_integer_ratio()
-            fx = _scaled_value(P, num, den) / (den ** (len(P) - 1) * D)
-            dfx = _scaled_value(dP, num, den) / (den ** (len(dP) - 1) * D)
-            if dfx == 0.0:
-                break
-            step = fx / dfx
-            if x - step == x:   # a fixed point: the step depends on x alone
-                break
-            x -= step
-            if abs(step) <= 1e-17 * max(1.0, abs(x)):
-                break
-        irrational.append(x)
+    irrational = [_polish(P, dP, D, float(z.real)) for z in roots if abs(z.imag) < 1e-10]
     return sorted(rational), sorted(irrational)

@@ -76,8 +76,10 @@ def test_valid_command_succeeds_after_usage_error(capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
-def test_cli_solves_only_the_chambers_it_reads(capsys, monkeypatch):
+def test_cli_resolves_branches_through_solve_frequencies(capsys, monkeypatch):
+    # every command takes its branches, roots included, from one chamber solve per (n, m, Z)
     branches = hooke.solve_frequencies(8, 0, -1)
+    chambers = [b.chamber for b in branches]
     solved = []
     equilibria = hooke._equilibria
 
@@ -87,19 +89,26 @@ def test_cli_solves_only_the_chambers_it_reads(capsys, monkeypatch):
 
     monkeypatch.setattr(hooke, "_equilibria", spy)
     code, out, _ = run(capsys, "solve", "--n", "8", "--m", "0", "--Z", "-1")
-    assert code == 0 and solved == []
+    assert code == 0 and solved == [chambers]
     rows = [(b.n, b.m, b.Z, b.kappa, b.omega_tilde, b.eps_rel, 2.0 * b.eps_rel)
             for b in branches]
     assert out == serialize.render_csv(("n", "m", "Z", "kappa", "omega", "eps_rel",
                                         "eps_rel_doubled"), rows)
     code, _, _ = run(capsys, "entropy", "--n", "8", "--m", "0", "--Z", "-1", "--branch", "1")
-    assert code == 0 and solved == [[branches[1].chamber]]
-    # the sextic image reads the frequency alone, so no chamber is solved for it
+    assert code == 0 and solved == [chambers] * 2   # the state reuses the branch's roots
     code, out, _ = run(capsys, "qes", "map", "--n", "8", "--m", "0", "--Z", "-1", "--branch", "1")
-    assert code == 0 and solved == [[branches[1].chamber]]
+    assert code == 0 and solved == [chambers] * 3
     assert out == ("omega = 0.019090873558796944\nZ = -1\neps_rel = 0.15272698847037555\n"
                    "gamma = 0.0014578458129518891\nalpha = -1.2218159077630044\nE = 2\n"
                    "sextic_m = -0.5\ninteger_sextic_m = no\n")
+
+
+def test_solve_prints_every_branch_beyond_the_domain(capsys):
+    # all 35 chambers of n = 70 are printed
+    code, out, err = run(capsys, "solve", "--n", "70", "--m", "10", "--Z", "1")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 35 and all(row.startswith("70,10,1,") for row in rows)
 
 
 def test_cli_import_skips_scipy_optimize_and_integrate():
@@ -295,6 +304,21 @@ def test_density_unknown_case(capsys):
     assert code == 2
     assert "unknown density case 'nope'" in err
     assert "n2m0Zm1, n2m0Zp1, n2m1Zp1, n3m0Zp1" in err
+
+
+@pytest.mark.parametrize("method", ["closed", "both"])
+def test_density_method_without_case_exits_2_before_any_branch(capsys, monkeypatch, method):
+    # n = 1 at Z = 1 has no branch, but the missing --case is reported first, and nothing is built
+    def fail(*args):
+        raise AssertionError("no branch is resolved or built")
+
+    monkeypatch.setattr(hooke, "solve_frequencies", fail)
+    monkeypatch.setattr(hooke, "build_wavefunction", fail)
+    for n in ("1", "2"):
+        code, out, err = run(capsys, "density", "--n", n, "--m", "0", "--Z", "1",
+                             "--method", method, "--grid", "0:4:3")
+        assert (code, out) == (2, "")
+        assert f"--method {method} needs --case" in err
 
 
 def test_density_quad_tolerance_exit(capsys):

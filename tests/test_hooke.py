@@ -10,7 +10,7 @@ import pytest
 
 from hookium import hooke
 from hookium.integrate import QuadratureNonConvergence, adaptive_quad
-from hookium.polyops import Poly, real_roots, sturm_count
+from hookium.polyops import Poly, _integer_form, _sturm_chain, _variations, real_roots, sturm_count
 from hookium.series import series_solve
 
 
@@ -392,13 +392,36 @@ def test_root_state_round_trips():
 DOMAIN_N = list(range(2, 15)) + list(range(16, 33, 2)) + [40, 50]
 
 
+def _s_polynomial(n, m):
+    even, odd = hooke.quantization_polynomial(n, m).even_odd_parts()
+    return odd if n % 2 else even
+
+
+def _assert_isolated(n, m, branches):
+    """Each branch's s = kappa^2 is the one root of the s-polynomial in its bracket.
+
+    The bracket is (s (1 - 2^-40), s (1 + 2^-40)], at exact binary endpoints;
+    its count is sturm_count's, from one primitive Sturm chain of the
+    polynomial. Ascending s with disjoint brackets makes the roots distinct.
+    """
+    chain = _sturm_chain(_integer_form(_s_polynomial(n, m))[0])
+    brackets = [(b.kappa**2 * (1 - 2**-40), b.kappa**2 * (1 + 2**-40)) for b in branches]
+    for b, (lo, hi) in zip(branches, brackets):
+        assert _variations(chain, Fraction(lo)) - _variations(chain, Fraction(hi)) == 1, \
+            (n, m, b.Z, b.chamber)
+    assert all(hi < lo for (_, hi), (lo, _) in zip(brackets, brackets[1:])), (n, m)
+
+
 @pytest.mark.parametrize("m", [0, 5, 10])
 def test_domain_invariants(m):
-    # every branch of n in DOMAIN_N, Z = +-1 builds; residual < 1e-9, |int u^2 - 1| < 1e-12
-    # by the 64-point rule (the build normalizes with the 48-point one), virial to 1e-10
+    # every branch of n in DOMAIN_N, Z = +-1 is Sturm-isolated and builds; residual < 1e-9,
+    # |int u^2 - 1| < 1e-12 by the 64-point rule (the build normalizes with the 48-point
+    # one), virial to 1e-10
     for n in DOMAIN_N:
         for Z in (1, -1):
-            for b in hooke.solve_frequencies(n, m, Z):
+            branches = hooke.solve_frequencies(n, m, Z)
+            _assert_isolated(n, m, branches)
+            for b in branches:
                 wf = hooke.build_wavefunction(b)
                 key = (n, m, Z, b.omega_tilde)
                 assert hooke.verify_branch(wf) < 1e-9, key
@@ -406,6 +429,17 @@ def test_domain_invariants(m):
                 assert abs(total - 1.0) < 1e-12, key
                 virial = wf.omega**2 * r2 + 0.25 * wf.Z * inv_r
                 assert virial == pytest.approx(wf.eps_rel, rel=1e-10, abs=0.0), key
+
+
+@pytest.mark.parametrize("n, m", [(70, 10), (100, 0)])
+def test_every_chamber_is_a_branch_beyond_the_domain(n, m):
+    # every chamber is a branch: n // 2 per sign
+    assert sturm_count(_s_polynomial(n, m), 0, math.inf) == n // 2
+    for Z in (1, -1):
+        branches = hooke.solve_frequencies(n, m, Z)
+        assert len(branches) == n // 2
+        assert [hooke.build_wavefunction(b).nodes for b in branches] == [b.chamber for b in branches]
+        _assert_isolated(n, m, branches)
 
 
 def _single_chamber_roots(N, nu, n_pos):
@@ -461,9 +495,10 @@ def test_state_shares_the_branch_roots():
 
 @pytest.mark.parametrize("n, m, Z", [(4, 1, -1), (5, 0, 1), (6, 2, -1), (7, 0, 1)])
 def test_build_wavefunction_solves_a_rootless_branch_chamber(n, m, Z):
-    # a branch without its roots (as the CLI resolves it) builds the state of solve_frequencies
+    # a copy of a branch without its roots builds the state of solve_frequencies' branch
     r = np.linspace(0.0, 20.0, 41)
-    for bare, solved in zip(hooke._exact_branches(n, m, Z), hooke.solve_frequencies(n, m, Z)):
+    for solved in hooke.solve_frequencies(n, m, Z):
+        bare = dataclasses.replace(solved, roots=np.empty(0))
         assert bare == solved
         got, want = hooke.build_wavefunction(bare), hooke.build_wavefunction(solved)
         assert got.roots.tobytes() == want.roots.tobytes(), (n, m, Z, bare.chamber)
