@@ -445,7 +445,9 @@ def _entropy_pointwise(g):
 def entropy_density(wf: RadialWavefunction, grid=None) -> EntropyProfile:
     """Entropy-density profile S_G(r) = -G ln G with 0 ln 0 = 0 of a radial state.
 
-    Raises ValueError for a negative or non-finite radius.
+    Its .total is total_entropy(wf), computed again here, so a caller that needs
+    both should read profile.total. Raises ValueError for a negative or
+    non-finite radius.
     """
     grid = _radii(default_grid(wf.omega) if grid is None else grid)
     vals = _entropy_pointwise(wf.density_radial(grid))
@@ -520,34 +522,33 @@ _SUM_CHUNK = 1 << 13   # terms per block of _exact_sum; its temporaries stay nea
 def _exact_sum(v: np.ndarray) -> float:
     """Correctly rounded sum of a float array: for finite terms, bit for bit math.fsum.
 
-    Each finite term is M 2^e with M an integer below 2^53 (np.frexp), split into
-    a 27-bit and a 26-bit half. The terms go in blocks of _SUM_CHUNK (< 2^26),
-    so the temporaries do not grow with v. In a block, np.bincount sums each
-    half per exponent e, and every partial sum is an integer below 2^53, so
-    those sums are exact. The bins of all blocks are combined as one Python
-    int, and a single int / int division rounds it. Non-finite terms give
-    np.sum's inf or nan.
+    The terms go in blocks of _SUM_CHUNK (2^13), so the temporaries do not grow
+    with v. A block with smallest exponent e0 bins its terms by 8 binary
+    exponents: a term of exponent e0 + r is x 2^(e0 - 53 + 8 (r >> 3)), with
+    x = frac 2^(53 + (r & 7)) an integer below 2^60 (np.frexp), split into two
+    30-bit halves. np.bincount sums each half per bin, and every bin sum is an
+    integer below 2^43, so those sums are exact. The bins of all blocks are
+    combined as one Python int, and a single int / int division rounds it.
+    Non-finite terms give np.sum's inf or nan.
     """
-    total, base = 0, 0   # the sum so far is total * 2**(base - 53)
+    total = 0   # the sum so far is total * 2**(-1073 - 53); -1073 is frexp's least exponent
     for i in range(0, v.size, _SUM_CHUNK):
         frac, exp = np.frexp(v[i:i + _SUM_CHUNK])
         if not np.isfinite(frac).all():
             return float(np.sum(v))
-        mant = frac * 2.0**53
-        hi = np.trunc(mant * 2.0**-26)
-        lo = mant - hi * 2.0**26
-        e0 = int(exp.min(initial=0))
-        bins = exp - e0
-        sum_hi, sum_lo = np.bincount(bins, weights=hi), np.bincount(bins, weights=lo)
+        e0 = int(exp.min())
+        rel = exp - e0
+        x = np.ldexp(frac, (rel & 7) + 53)
+        hi = np.trunc(x * 2.0**-30)
+        bins = rel >> 3
+        sum_hi = np.bincount(bins, weights=hi)
+        sum_lo = np.bincount(bins, weights=x - hi * 2.0**30)
+        k = np.flatnonzero((sum_hi != 0) | (sum_lo != 0))
         part = 0
-        for k in np.flatnonzero(sum_hi.astype(bool) | sum_lo.astype(bool)).tolist():
-            part += ((int(sum_hi[k]) << 26) + int(sum_lo[k])) << k
-        if e0 >= base:
-            total += part << (e0 - base)
-        else:
-            total, base = (total << (base - e0)) + part, e0
-    shift = base - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+        for j, h, lo in zip(k.tolist(), sum_hi[k].tolist(), sum_lo[k].tolist()):
+            part += ((int(h) << 30) + int(lo)) << (8 * j)
+        total += part << (e0 + 1073)
+    return total / (1 << 1126)
 
 
 def _entropy_on(wf: RadialWavefunction, edges: np.ndarray, total) -> float:

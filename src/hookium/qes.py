@@ -82,7 +82,7 @@ class SexticParams:
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         for name in ("alpha", "m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -109,7 +109,7 @@ def qes_condition(n: int, m, gamma) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     sg = _sqrt_exact_or_float(gamma)
     return -sg * (2 * n + 2 * m + 5)
 

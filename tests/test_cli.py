@@ -189,6 +189,17 @@ def test_out_flags_only_on_commands_that_write(capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv.split()[-2:])}" in err
 
 
+@pytest.mark.parametrize("argv, typed", [
+    pytest.param("qes condition --n 2 --m 0 --gamma -4/9", "-4/9", id="condition"),
+    pytest.param("qes map --gamma -1 --alpha -8 --E 2", "-1", id="map"),
+    pytest.param("qes variational --gamma 0 --nodes 1", "0", id="variational"),
+])
+def test_gamma_range_error_prints_the_typed_value(capsys, argv, typed):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert f"gamma must be positive and finite, got {typed}\n" in err
+
+
 def test_missing_required_option(capsys):
     code, _, err = run(capsys, "solve")
     assert code == 2

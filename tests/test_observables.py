@@ -575,6 +575,12 @@ def test_total_entropy_tolerances():
             observables.total_entropy(wf, tol_abs=bad)
 
 
+def _binned(rng, size, e_low, span):
+    """Terms of random sign whose np.frexp exponents cycle through e_low ... e_low + span - 1."""
+    exps = e_low + np.arange(size) % span
+    return rng.choice([-1.0, 1.0], size) * np.ldexp(rng.uniform(0.5, 1.0, size), exps)
+
+
 def _sum_cases():
     rng = np.random.default_rng(20261018)
     wide = rng.standard_normal(300) * 10.0 ** rng.uniform(-300, 300, 300)
@@ -596,6 +602,14 @@ def _sum_cases():
         # blocks of _exact_sum that start high, drop far below, then cancel the first
         "blocks": np.concatenate([x[:1] * np.ones(9000) * 1e250, rng.standard_normal(9000) * 1e-250,
                                   x[:1] * np.ones(9000) * -1e250, rng.standard_normal(9000)]),
+        # exponent spans of 19 starting at each residue of the block's least exponent
+        # mod 8, so they cross two 8-exponent bin edges; half the terms then cancel
+        **{f"bin_edges_{r}": np.concatenate([b, -b[:100]]) for r in range(8)
+           for b in [_binned(rng, 200, -40 + r, 19)]},
+        # two blocks whose least exponents differ by 3, not a multiple of 8
+        "blocks_offset": np.concatenate([_binned(rng, observables._SUM_CHUNK, -40, 19),
+                                         _binned(rng, observables._SUM_CHUNK, -37, 19)]),
+        "one_exponent": _binned(rng, 1000, 7, 1),
     }
 
 
@@ -603,6 +617,18 @@ def _sum_cases():
 def test_exact_sum_matches_fsum(case):
     v = _sum_cases()[case]
     assert observables._exact_sum(v).hex() == math.fsum(v.tolist()).hex()
+
+
+def test_exact_sum_where_fsum_overflows():
+    rng = np.random.default_rng(20261021)
+    near = np.ldexp(rng.uniform(0.5, 1.0, 2000), rng.integers(1000, 1024, 2000))
+    for v in (np.array([1e308, 1e308, -1e308]),
+              # one block of terms near 2^1000 that cancel, leaving a sum near 1
+              np.concatenate([near, -near[::-1], rng.standard_normal(10)])):
+        with pytest.raises(OverflowError):
+            math.fsum(v.tolist())
+        exact = float(sum(map(Fraction, v.tolist()), Fraction(0)))
+        assert observables._exact_sum(v).hex() == exact.hex()
 
 
 def test_exact_sum_non_finite_terms():
