@@ -163,12 +163,9 @@ def _require(args, *names):
 
 def cmd_solve(args) -> int:
     _require(args, "n")
-    rows = []
-    for m in parse_int_range(args.m):
-        for Z in parse_number_list(args.Z):
-            for b in hooke.solve_frequencies(args.n, m, Z):
-                rows.append((b.n, b.m, b.Z, b.kappa, b.omega_tilde,
-                             b.eps_rel, 2.0 * b.eps_rel))
+    lattice = hooke._solve_lattice(args.n, parse_int_range(args.m), parse_number_list(args.Z))
+    rows = [(b.n, b.m, b.Z, b.kappa, b.omega_tilde, b.eps_rel, 2.0 * b.eps_rel)
+            for branches in lattice for b in branches]
     text = render_csv(("n", "m", "Z", "kappa", "omega", "eps_rel", "eps_rel_doubled"), rows)
     sys.stdout.write(text)
     if args.out:

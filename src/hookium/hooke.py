@@ -221,24 +221,48 @@ def solve_frequencies(n: int, m, Z) -> list[QuantizationBranch]:
     Every branch carries its chamber's roots; raises EquilibriumError when a
     chamber does not converge or misses its polished kappa.
     """
+    return _solve_lattice(n, [m], [Z])[0]
+
+
+def _solve_lattice(n: int, m_values, Z_values) -> list[list[QuantizationBranch]]:
+    """solve_frequencies(n, m, Z) for each (m, Z), m-major and Z-minor, bit for bit.
+
+    Roots depend on nu = |m| + 1/2 and N+, not Z: each distinct row is solved once, whole
+    chamber sets sharing an _equilibria call while its (rows, N, N) buffer holds at most
+    2^17 entries. The first failing (m, Z) decides the error.
+    """
+    pairs = [(m, Z) for m in m_values for Z in Z_values]
+    if not pairs:
+        return []
     if n < 1:
         raise ValueError("n must be >= 1")
     if n < 2:
         raise NoBranchError("n = 1 exists only at Z = 0; use oscillator_branch")
-    if Z == 0:
-        raise NoBranchError("Z = 0 has no quantized frequency; use oscillator_branch")
-    even, odd = quantization_polynomial(n, m).even_odd_parts()
-    # parity: a_n contains only kappa^n, kappa^(n-2), ...
-    P, D = _integer_form(odd if n % 2 else even)
-    dP, L = _derivative(P), abs(_primitive(P)[-1])
+    stop = next((i for i, (_, Z) in enumerate(pairs) if Z == 0), len(pairs))
+    solved, polys, zetas, out = pairs[:stop], {}, {}, []
+    for m_abs in dict.fromkeys(abs(m) for m, _ in solved):
+        even, odd = quantization_polynomial(n, m_abs).even_odd_parts()
+        # parity: a_n contains only kappa^n, kappa^(n-2), ...
+        P, D = _integer_form(odd if n % 2 else even)
+        polys[m_abs] = P, _derivative(P), D, abs(_primitive(P)[-1])
     N, B = n - 1, n // 2
-    chambers = list(range(B - 1, -1, -1) if Z > 0 else range(N - B + 1, N + 1))
-    out = []
-    for chamber, zeta in zip(chambers, _equilibria(N, float(abs(m)) + 0.5, chambers)):
-        s = _polish(P, dP, D, (2.0 * math.fsum(zeta.tolist())) ** 2)
-        k = round(Fraction(s) * L)
-        exact = None if _scaled_value(P, k, L) else Fraction(k, L)
-        out.append(_rooted(_branch_from_s(n, m, Z, exact, s, chamber), zeta))
+    sides = {True: range(B - 1, -1, -1), False: range(N - B + 1, N + 1)}
+    sets = list(dict.fromkeys((float(abs(m)) + 0.5, Z > 0) for m, Z in solved))
+    per_call = max(1, 2**17 // (B * N * N))
+    for i in range(0, len(sets), per_call):
+        rows = [(nu, c) for nu, positive in sets[i:i + per_call] for c in sides[positive]]
+        zetas.update(zip(rows, _equilibria(N, [nu for nu, _ in rows], [c for _, c in rows])))
+    for m, Z in solved:
+        P, dP, D, L = polys[abs(m)]
+        out.append([])
+        for chamber in sides[Z > 0]:
+            zeta = zetas[float(abs(m)) + 0.5, chamber]
+            s = _polish(P, dP, D, (2.0 * math.fsum(zeta.tolist())) ** 2)
+            k = round(Fraction(s) * L)
+            exact = None if _scaled_value(P, k, L) else Fraction(k, L)
+            out[-1].append(_rooted(_branch_from_s(n, m, Z, exact, s, chamber), zeta))
+    if stop < len(pairs):
+        raise NoBranchError("Z = 0 has no quantized frequency; use oscillator_branch")
     return out
 
 
@@ -418,7 +442,7 @@ _STEP_TOL = 1e-13      # converged: a full step below this times max |zeta|
 _KAPPA_TOL = 1e-12     # allowed |-2 sum(zeta) - kappa| / |kappa|
 
 
-def _equilibria(N: int, nu: float, chambers: list[int]) -> np.ndarray:
+def _equilibria(N: int, nu, chambers: list[int]) -> np.ndarray:
     """Row i: the N roots zeta (ascending, chambers[i] of them positive) of the factor in rho.
 
     At a root of p(rho) the radial equation reads
@@ -434,11 +458,13 @@ def _equilibria(N: int, nu: float, chambers: list[int]) -> np.ndarray:
     which chambers are solved together. A step costs a fixed number of numpy
     calls: the chamber test is one sign pattern and one order test, and the
     halving and finiteness tests run only for a step that leaves a chamber.
+    nu = |m| + 1/2 is one float, or one per row as a (rows, 1) column for several |m|.
     """
     chambers = np.asarray(chambers)
+    nu = np.broadcast_to(np.asarray(nu, dtype=float).reshape(-1, 1), (len(chambers), 1))
     n_neg, j = (N - chambers)[:, None], np.arange(N)
     neg = j < n_neg
-    s = math.sqrt(2 * N + 2 * nu + 1)
+    s = np.sqrt(2 * N + 2 * nu + 1)
     z = np.where(neg, -s * (n_neg - j - 0.5) / np.maximum(n_neg, 1),
                  s * (j - n_neg + 0.5) / np.maximum(N - n_neg, 1))
     sign = np.where(neg, -1.0, 1.0)   # each row's chamber: its roots' signs, ascending
@@ -465,7 +491,7 @@ def _equilibria(N: int, nu: float, chambers: list[int]) -> np.ndarray:
         if not inside.all():
             finite = np.isfinite(step).all(1)
             if not finite.all():
-                active = active[~finite]
+                active, nu = active[~finite], nu[~finite]
                 break
             t = np.ones((len(z), 1))
             while not inside.all():
@@ -477,11 +503,11 @@ def _equilibria(N: int, nu: float, chambers: list[int]) -> np.ndarray:
         done = full & (abs(step).max(1) <= _STEP_TOL * abs(z).max(1))
         if done.any():
             out[active[done]] = z[done]
-            active, z, sign = active[~done], z[~done], sign[~done]
+            active, z, sign, nu = active[~done], z[~done], sign[~done], nu[~done]
             if not len(active):
                 return out
     raise EquilibriumError(f"damped Newton did not converge in {_NEWTON_STEPS} steps on the "
-                           f"chamber N+ = {chambers[active[0]]} of N = {N} roots (nu = {nu})")
+                           f"chamber N+ = {chambers[active[0]]} of N = {N} roots (nu = {nu[0, 0]})")
 
 
 def _rooted(branch: QuantizationBranch, zeta: np.ndarray) -> QuantizationBranch:

@@ -22,6 +22,7 @@ from .hooke import (
     QuantizationBranch,
     RadialWavefunction,
     _RootProduct,
+    _solve_lattice,
     _u2_range,
     build_wavefunction,
     solve_frequencies,
@@ -608,11 +609,9 @@ def entropy_scan(n: int, m_values, Z_values) -> list[EntropyScanRow]:
     omega are broken by Z then m so the table order is reproducible.
     """
     rows = []
-    for m in m_values:
-        for Z in Z_values:
-            for branch in solve_frequencies(n, m, Z):
-                wf = build_wavefunction(branch)
-                rows.append(EntropyScanRow(m=m, omega=branch.omega_tilde, Z=float(Z),
-                                           entropy=total_entropy(wf)))
+    for branches in _solve_lattice(n, m_values, Z_values):
+        for branch in branches:
+            rows.append(EntropyScanRow(m=branch.m, omega=branch.omega_tilde, Z=branch.Z,
+                                       entropy=total_entropy(build_wavefunction(branch))))
     rows.sort(key=lambda r: (r.omega, r.Z, r.m))
     return rows

@@ -31,11 +31,19 @@ def format_number(x) -> str:
 
 
 def render_csv(header, rows) -> str:
-    """CSV text with an LF after every line, header included."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """CSV text with an LF after every line, header included; each cell is its format_number.
+
+    Rows of one width are one %-format pass: a column of Python floats only takes "%.17g".
+    """
+    rows = [tuple(row) for row in rows]
+    head = ",".join(header) + "\n"
+    if len({len(row) for row in rows}) != 1:   # no rows, or rows of several widths
+        return head + "".join(",".join(format_number(v) for v in row) + "\n" for row in rows)
+    columns = list(zip(*rows))
+    floats = [all(type(v) is float for v in column) for column in columns]
+    columns = [c if f else [format_number(v) for v in c] for c, f in zip(columns, floats)]
+    line = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    return head + line * len(rows) % tuple(v for row in zip(*columns) for v in row)
 
 
 def profile_rows(grid, values):

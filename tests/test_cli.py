@@ -77,7 +77,7 @@ def test_valid_command_succeeds_after_usage_error(capsys):
 
 
 def test_cli_resolves_branches_through_solve_frequencies(capsys, monkeypatch):
-    # every command takes its branches, roots included, from one chamber solve per (n, m, Z)
+    # every command takes its branches, roots included, from one chamber solve per command
     branches = hooke.solve_frequencies(8, 0, -1)
     chambers = [b.chamber for b in branches]
     solved = []
@@ -101,6 +101,36 @@ def test_cli_resolves_branches_through_solve_frequencies(capsys, monkeypatch):
     assert out == ("omega = 0.019090873558796944\nZ = -1\neps_rel = 0.15272698847037555\n"
                    "gamma = 0.0014578458129518891\nalpha = -1.2218159077630044\nE = 2\n"
                    "sextic_m = -0.5\ninteger_sextic_m = no\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "entropy --scan"])
+def test_lattice_commands_make_one_chamber_solve(capsys, monkeypatch, command):
+    # the whole (m, Z) lattice goes into one damped Newton
+    calls = []
+    equilibria = hooke._equilibria
+
+    def spy(N, nu, chambers):
+        calls.append(list(chambers))
+        return equilibria(N, nu, chambers)
+
+    argv = [*command.split(), "--n", "3", "--m", "0:4", "--Z", "1,-1"]
+    monkeypatch.setattr(hooke, "_equilibria", spy)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 11 and calls == [[0, 2] * 5]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ("solve --n 3 --m 0:2 --Z 1,0", 3, "Z = 0 has no quantized frequency"),
+    ("entropy --scan --n 3 --m 0:2 --Z 1,0", 3, "Z = 0 has no quantized frequency"),
+    ("solve --n 3 --m 0:2 --Z 1,1e200", 2, "got inf at Z = 1e+200"),
+    ("solve --n 3 --m 0:2 --Z 1e200,0", 2, "got inf at Z = 1e+200"),
+    ("solve --n 1 --m 0:2 --Z 1", 3, "n = 1 exists only at Z = 0"),
+])
+def test_lattice_errors_follow_walk_order(capsys, argv, code, message):
+    # the first failing (m, Z), m-major and Z-minor, decides the exit and the message
+    got, out, err = run(capsys, *argv.split())
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_solve_prints_every_branch_beyond_the_domain(capsys):

@@ -484,6 +484,50 @@ def test_batched_roots_match_single_chamber_newton(m):
                 assert not b.roots.flags.writeable
 
 
+def _branch_bits(b):
+    return (b.n, b.m, b.Z.hex(), b.kappa.hex(), b.omega_tilde.hex(), b.kappa_sq_exact,
+            b.omega_exact, b.chamber, b.roots.tobytes())
+
+
+@pytest.mark.parametrize("Z_values", [[1, -1], [1, 2], [Fraction(-1, 2), 0.5, -3]],
+                         ids=["1,-1", "1,2", "-1/2,0.5,-3"])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 25, 50])
+def test_lattice_matches_one_solve_per_pair(n, Z_values):
+    # a lattice shares chamber solves (n = 50 needs several calls); each pair's branches
+    # are still those of its own solve_frequencies call, bit for bit
+    m_values = range(-2, 11)   # -m shares the chambers of m
+    lattice = hooke._solve_lattice(n, m_values, Z_values)
+    pairs = [(m, Z) for m in m_values for Z in Z_values]
+    assert len(lattice) == len(pairs)
+    for (m, Z), got in zip(pairs, lattice):
+        want = hooke.solve_frequencies(n, m, Z)
+        assert [_branch_bits(b) for b in got] == [_branch_bits(b) for b in want], (n, m, Z)
+
+
+def test_lattice_solves_whole_chamber_sets_within_the_buffer_bound(monkeypatch):
+    calls = []
+    equilibria = hooke._equilibria
+
+    def spy(N, nu, chambers):
+        calls.append((N, len(chambers)))
+        return equilibria(N, nu, chambers)
+
+    monkeypatch.setattr(hooke, "_equilibria", spy)
+    hooke._solve_lattice(50, range(11), [1, -1, 2])   # Z = 2 shares the chambers of Z = 1
+    assert calls == [(49, 50)] * 11   # 22 sets of 25 chambers, two to a call
+    calls.clear()
+    hooke._solve_lattice(70, [10, 11], [1])   # one set of 35 chambers is past the bound
+    assert calls == [(69, 35)] * 2
+    calls.clear()
+    hooke._solve_lattice(3, range(-4, 5), [1, -1, 2])   # m and -m share their chambers
+    assert calls == [(2, 10)]
+
+
+def test_empty_lattice_rejects_nothing():
+    # as a loop over solve_frequencies that never runs: `solve --n 1 --Z ,` prints the header
+    assert hooke._solve_lattice(1, [0, 1], []) == [] == hooke._solve_lattice(0, [], [1])
+
+
 def test_state_shares_the_branch_roots():
     b = hooke.solve_frequencies(7, 2, 1)[0]
     assert hooke.build_wavefunction(b).roots is b.roots
