@@ -1,10 +1,11 @@
-"""Every invariant of every branch over the stated domain: n <= 50, |m| <= 10, Z = +-1.
+"""Every invariant of every branch over the stated domain: n <= 50, |m| <= 10, Z = +-1, +-2.
 
     PYTHONPATH=src python scripts/domain_sweep.py
 
 For each (n, m, Z) the number of branches must equal the Sturm count of the
-positive roots of the quantization polynomial in s = kappa^2. For each of the
-13,750 branches:
+positive roots of the quantization polynomial in s = kappa^2. Z = +-2 shares
+the roots zeta of Z = +-1 and differs only in the scale omega_tilde = Z^2 / kappa^2.
+For each of the 27,500 branches:
 - residual: the eigen residual, verify_branch, at most 1e-9;
 - norm: |int u^2 dr - 1| at most 1e-12, the integral by adaptive_quad, a
   rule and a subdivision independent of the Gauss-Legendre rule that
@@ -29,7 +30,7 @@ from hookium import hooke, observables
 from hookium.integrate import adaptive_quad, gauss_legendre
 from hookium.polyops import sturm_count
 
-N_MAX, M_MAX, Z_VALUES = 50, 10, (1, -1)
+N_MAX, M_MAX, Z_VALUES = 50, 10, (1, -1, 2, -2)
 BOUNDS = {"residual": 1e-9, "norm": 1e-12, "virial": 1e-10, "nodes": 0, "entropy": 1.0}
 
 

@@ -12,7 +12,6 @@ from the roots of an exact polynomial in kappa = Z / sqrt(w).
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -108,54 +107,26 @@ def hooke_series_operator(m_abs, kappa, e_tilde):
     return F, P
 
 
-def _recurrence(kappa, e_tilde, m_abs, omega=1):
-    """a_0, a_1, ... of the recurrence, without end; see recurrence_coefficients.
+def _jacobi(e_tilde, m_abs, n: int, omega=1):
+    """(B, D, r, c): the Jacobi matrix J of the recurrence through level n, on integers.
 
-    b_j = omega (2 (j-2) - e_tilde) and c_j = j (j + 2|m|) come as integer
-    (numerator, denominator) pairs from the parameters' exact ratios: an int,
-    a Fraction, or a float at its binary value. A symbolic kappa (None) gives
-    each a_j as (P, D): integer coefficients of kappa^0, kappa^1, ... over one
-    common denominator D > 0, reduced by their gcd at every step, so no
-    Fraction arithmetic runs; an int or Fraction kappa makes each pair a
-    Fraction, and a float kappa divides each pair once.
+    With P_j = c_1 ... c_j a_j (c_j = j (j + 2|m|)) the recurrence reads
+    P_j = kappa P_(j-1) - beta_j P_(j-2), beta_j = omega (e_tilde + 4 - 2j)(j - 1)(j - 1 + 2|m|),
+    so P_j = det(kappa I - J_j): J is tridiagonal with zero diagonal and
+    off-diagonal sqrt(beta_2), ..., sqrt(beta_n) (Bender and Dunne 1996). beta_j
+    = B[j - 2] / D, integers over one common D > 0 taken from the parameters'
+    exact ratios (an int, a Fraction, or a float at its binary value). r[j][k]
+    is D^k times the coefficient of kappa^(j - 2k) in P_j, for j = 0..n, built
+    by r_j[k] = r_(j-1)[k] - B_j r_(j-2)[k-1] with no Fraction and no gcd; c is
+    c_1 ... c_n, a Fraction, so a_n = P_n / c.
     """
     (on, od), (en, ed), (mn, md) = (x.as_integer_ratio() for x in (omega, e_tilde, m_abs))
-    b_at = lambda j: (on * (2 * (j - 2) * ed - en), od * ed)
-    c_at = lambda j: (j * (j * md + 2 * mn), md)
-    if kappa is None:
-        def step(prev, prev2, b, c):
-            num, den = [0] + prev[0], prev[1]       # kappa a_{j-1}
-            if prev2 is not None:
-                (P2, d2), (bn, bd) = prev2, b
-                den = math.lcm(den, d2 * bd)
-                num = [x * (den // prev[1]) for x in num]
-                f = bn * (den // (d2 * bd))
-                for i, x in enumerate(P2):
-                    num[i] += f * x
-            cn, cd = c
-            num, den = [x * cd for x in num], den * cn
-            g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
-            return [x // g for x in num], den // g
-        prev = ([1], 1)
-    else:
-        div = Fraction if isinstance(kappa, (int, Fraction)) else (lambda n, d: n / d)
-
-        def step(prev, prev2, b, c):
-            term = kappa * prev
-            if prev2 is not None:
-                term = term + div(*b) * prev2
-            return term / div(*c)
-        prev = div(1, 1)
-    prev2 = None
-    for j in itertools.count(1):
-        yield prev
-        prev, prev2 = step(prev, prev2, b_at(j), c_at(j)), prev
-
-
-def _kappa_poly(a) -> Poly:
-    """A symbolic a_j from _recurrence as a Poly in kappa with Fraction coefficients."""
-    P, den = a
-    return Poly([Fraction(x, den) for x in P])
+    B = [on * (en + (4 - 2 * j) * ed) * (j - 1) * ((j - 1) * md + 2 * mn) for j in range(2, n + 1)]
+    r = [[1], [1]]
+    for b in B:
+        r.append([x - b * y for x, y in zip(r[-1] + [0], [0] + r[-2])])
+    c = Fraction(math.prod(j * (j * md + 2 * mn) for j in range(1, n + 1)), md**n)
+    return B, od * ed * md, r, c
 
 
 def recurrence_coefficients(kappa, e_tilde, m_abs, count: int, omega=1):
@@ -165,26 +136,39 @@ def recurrence_coefficients(kappa, e_tilde, m_abs, count: int, omega=1):
     with a_0 = 1. This is the package's one recurrence: with omega = 1 it runs in
     the scaled variable rho (kappa = Z / sqrt(omega_tilde)); with omega = omega_tilde
     and kappa = Z it runs in r; under x^2 = r it gives the sextic sector series.
-    The parameters are always exact: a float one is its binary value. The
-    output's arithmetic follows kappa alone: None carries it as a formal symbol
-    (exact Poly output, built from integer coefficients over one common
-    denominator), an int or Fraction gives Fractions, and at a float kappa each
-    b_j and c_j enters as one int / int division, rounded once.
+    The parameters are always exact: a float one is its binary value, so
+    b_j = omega (2 (j-2) - e_tilde) and c_j = j (j + 2|m|) are integer
+    (numerator, denominator) pairs. The output's arithmetic follows kappa
+    alone: an int or Fraction gives Fractions, and at a float kappa each b_j
+    and c_j enters as one int / int division, rounded once. As a polynomial
+    in kappa, a_j is det(kappa I - J_j) / (c_1 ... c_j) (see _jacobi).
     """
-    out = list(itertools.islice(_recurrence(kappa, e_tilde, m_abs, omega), count))
-    return [_kappa_poly(a) for a in out] if kappa is None else out
+    (on, od), (en, ed), (mn, md) = (x.as_integer_ratio() for x in (omega, e_tilde, m_abs))
+    div = Fraction if isinstance(kappa, (int, Fraction)) else (lambda n, d: n / d)
+    out = [div(1, 1)]
+    for j in range(1, count):
+        term = kappa * out[-1]
+        if j >= 2:
+            term = term + div(on * (2 * (j - 2) * ed - en), od * ed) * out[-2]
+        out.append(term / div(j * (j * md + 2 * mn), md))
+    return out[:count]
 
 
 def quantization_polynomial(n: int, m) -> Poly:
     """a_n as an exact polynomial in kappa at the level that terminates at degree n - 1.
 
-    The termination level fixes e_tilde = 2 (n - 1). Its roots (with sign
-    matching Z) are the admissible couplings; only powers kappa^n,
-    kappa^(n-2), ... appear.
+    The termination level fixes e_tilde = 2 (n - 1), so beta_j = 2 (n + 1 - j)(j - 1)(j - 1 + 2|m|)
+    > 0 and a_n = det(kappa I - J) / (c_1 ... c_n), J the n x n Jacobi matrix of
+    _jacobi: its roots (with sign matching Z) are the admissible couplings,
+    real, simple and symmetric about 0; only powers kappa^n, kappa^(n-2), ... appear.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _kappa_poly(next(itertools.islice(_recurrence(None, 2 * (n - 1), abs(m)), n, None)))
+    _, D, r, c = _jacobi(2 * (n - 1), abs(m), n)
+    coeffs = [Fraction(0)] * (n + 1)
+    for k, x in enumerate(r[n]):
+        coeffs[n - 2 * k] = Fraction(x, D**k) / c
+    return Poly(coeffs)
 
 
 def _branch_from_s(n, m, Z, s_exact: Fraction | None, s_float: float, chamber: int) -> QuantizationBranch:

@@ -1,8 +1,7 @@
 """Dense univariate polynomials over exact rationals (or floats), plus root tools.
 
-The solver pipeline runs its recurrences over Fraction coefficients so that
-quantization polynomials come out exact; the same class doubles as the value
-type for series coefficients when a coupling is carried as a formal symbol.
+Quantization polynomials come out as Polys of exact Fraction coefficients,
+and the same class holds the Euler polynomials of the series engine.
 The root tools work on one private integer form, p = P / D with P a list of
 ints, so Sturm chains, rational-root tests and Newton polish stay exact without
 Fraction arithmetic. Every root count comes from the primitive Sturm chain of P.
@@ -316,10 +315,10 @@ def real_roots(p: Poly):
     included (a repeated root may split into a near-real pair), proposes
     k = round(Re z * L), kept if p(k / L) = 0 exactly. The search is complete
     when some companion root lies within 1 / (2L) of each rational root. The
-    callers are `qes.sector_energies` and `series.indicial_roots`;
-    `hooke.solve_frequencies` takes the roots of its s-polynomials from the
-    Stieltjes chambers and shares only the Newton polish. Float coefficients
-    skip the search: their binary rationals mean nothing.
+    one caller is `series.indicial_roots`: `hooke.solve_frequencies` starts
+    from the Stieltjes chambers and `qes.sector_energies` from the Jacobi
+    matrix, and both share only the Newton polish. Float coefficients skip
+    the search: their binary rationals mean nothing.
 
     What remains goes to the companion matrix again (only if something was
     deflated and a non-constant factor is left); roots with |imag| < 1e-10 are

@@ -22,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .hooke import RadialWavefunction, _is_rational, recurrence_coefficients
+from .hooke import RadialWavefunction, _is_rational, _jacobi, recurrence_coefficients
 from .integrate import _GL_W, _GL_X
-from .polyops import Poly, exact_sqrt, real_roots, sturm_count
+from .polyops import Poly, _derivative, _polish, exact_sqrt, sturm_count
 from .series import PowerSeries
 
 __all__ = [
@@ -114,16 +114,16 @@ def qes_condition(n: int, m, gamma) -> float:
     return -sg * (2 * n + 2 * m + 5)
 
 
-def _sector_coefficients(p: SexticParams, kappa, count: int) -> list:
-    """c_0..c_{count-1}, the x^(2j) coefficients of the reduced eigen-series.
+def _sector_arguments(p: SexticParams):
+    """(e_tilde, m~, omega) of the sector recurrence: the trap's, under x^2 = r.
 
-    Under x^2 = r the eigen-equation is the trap recurrence with kappa = -E/2,
-    omega = sqrt(gamma)/2, 2|m~| = m + 1/2 and e_tilde = -A/sqrt(gamma). These
-    enter exactly, a float sqrt(gamma), A or m at its binary value, so the
-    coefficients' arithmetic follows kappa alone (see recurrence_coefficients).
+    The eigen-equation is the trap recurrence with kappa = -E/2, omega =
+    sqrt(gamma)/2, 2|m~| = m + 1/2 and e_tilde = -A/sqrt(gamma). These are
+    exact, a float sqrt(gamma), A or m at its binary value, so the series'
+    arithmetic follows kappa alone (see recurrence_coefficients).
     """
     sg, A = Fraction(p.sqrt_gamma), Fraction(p.A)
-    return recurrence_coefficients(kappa, -A / sg, (2 * Fraction(p.m) + 1) / 4, count, sg / 2)
+    return -A / sg, (2 * Fraction(p.m) + 1) / 4, sg / 2
 
 
 def qes_eigen_series(E, p: SexticParams, N: int) -> PowerSeries:
@@ -137,7 +137,9 @@ def qes_eigen_series(E, p: SexticParams, N: int) -> PowerSeries:
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    c = _sector_coefficients(p, -(Fraction(E) if isinstance(E, int) else E) / 2, N // 2 + 1)
+    e_tilde, m_tilde, omega = _sector_arguments(p)
+    kappa = -(Fraction(E) if isinstance(E, int) else E) / 2
+    c = recurrence_coefficients(kappa, e_tilde, m_tilde, N // 2 + 1, omega)
     coeffs = [0] * (2 * len(c) - 1)
     coeffs[::2] = c
     return PowerSeries(0, coeffs)
@@ -158,17 +160,30 @@ def sector_degree(p: SexticParams) -> int | None:
 def sector_energies(p: SexticParams) -> list[float]:
     """Eigenvalues of the closed polynomial sector, ascending.
 
-    The sector recurrence run with symbolic E gives c_{d+1}(E); its real roots
-    are the sector energies. It runs on integers in kappa = -E/2, with the
-    parameters exact (a float one at its binary value), and coefficient i is
-    then scaled by (-1/2)^i, exactly.
+    At the closing level n = d + 1 the sector polynomial c_n(E) is
+    det(kappa I - J) / (c_1 ... c_n) in kappa = -E/2 (hooke._jacobi), with the
+    parameters exact (a float one at its binary value). For m > -3/2 every
+    beta_j > 0, so J is a real symmetric tridiagonal matrix and its n
+    eigenvalues (eigvalsh) are real and simple. Each start E = -2 kappa is
+    polished by exact Newton steps (polyops._polish) on c_n written in E,
+    built on integers. At odd n the middle start is E = +0.0, a root of c_n.
     """
     d = sector_degree(p)
     if d is None:
         raise ValueError("parameters do not close a polynomial sector (A is not -2d sqrt(gamma))")
-    c = _sector_coefficients(p, None, d + 2)[d + 1].coeffs   # in kappa = -E/2
-    rational, irrational = real_roots(Poly([x * Fraction(-1, 2) ** i for i, x in enumerate(c)]))
-    return sorted([float(r) for r in rational] + list(irrational))
+    if p.m <= -1.5:
+        raise ValueError("the sector's Jacobi matrix needs m > -3/2")
+    n, h = d + 1, (d + 1) // 2
+    e_tilde, m_tilde, omega = _sector_arguments(p)
+    B, D, r, c = _jacobi(e_tilde, m_tilde, n, omega)
+    # c_n(E) = sum_k r[n][k] (-1/2)^(n-2k) E^(n-2k) / (D^k c): times 2^n D^h c, integers
+    P = [0] * (n + 1)
+    for k, x in enumerate(r[n]):
+        P[n - 2 * k] = (-1) ** n * c.denominator * x * 4**k * D ** (h - k)
+    starts = (-2.0 * np.linalg.eigvalsh(np.diag(np.sqrt([b / D for b in B]), -1))).tolist()
+    if n % 2:   # the spectrum is symmetric about 0, so at odd n its middle is E = 0 exactly
+        starts[h] = 0.0
+    return sorted(_polish(P, _derivative(P), 2**n * D**h * c.numerator, E) for E in starts)
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,22 @@ def test_engine_matches_recurrence_random_tuples():
             assert y.coefficient(j) == a[j], (m, n, kappa, j)
 
 
+def _jacobi_recurrence(e_tilde, m_abs, count, omega=1):
+    """a_0..a_{count-1} as Polys in kappa: det(kappa I - J_j) / (c_1 ... c_j) from hooke._jacobi."""
+    _, D, r, _ = hooke._jacobi(e_tilde, m_abs, count - 1, omega)
+    out, c = [], Fraction(1)
+    for j, row in enumerate(r):
+        c *= j * (j + 2 * Fraction(m_abs)) if j else 1
+        coeffs = [Fraction(0)] * (j + 1)
+        for k, x in enumerate(row):
+            coeffs[j - 2 * k] = Fraction(x, D**k) / c
+        out.append(Poly(coeffs))
+    return out
+
+
 def test_recurrence_symbolic_kappa():
-    # with kappa left symbolic the coefficients are polynomials in kappa
-    a = hooke.recurrence_coefficients(None, 2, 0, 5)
+    # with kappa left symbolic, the leading minors of J give each coefficient as a polynomial in kappa
+    a = _jacobi_recurrence(2, 0, 5)
     assert a[1].degree == 1
     assert a[4].degree == 4
 
@@ -115,10 +128,26 @@ def test_symbolic_recurrence_matches_fraction_reference(m):
     for n in range(1, 40):
         want = _fraction_recurrence(2 * (n - 1), m_abs, n + 1)
         assert hooke.quantization_polynomial(n, m) == want[n], (n, m)
-    assert hooke.recurrence_coefficients(None, 2 * 11, m_abs, 13) == _fraction_recurrence(22, m_abs, 13)
-    # a rational omega and e_tilde, as the sextic sector series use them
+    assert _jacobi_recurrence(2 * 11, m_abs, 13) == _fraction_recurrence(22, m_abs, 13)
+    # a rational omega and e_tilde, as the sextic sector series use them (beta_j < 0 here)
     args = (Fraction(-7, 3), m_abs, 15, Fraction(5, 4))
-    assert hooke.recurrence_coefficients(None, *args) == _fraction_recurrence(*args)
+    assert _jacobi_recurrence(*args) == _fraction_recurrence(*args)
+
+
+def test_jacobi_eigenvalues_are_the_branch_kappas():
+    # det(kappa I - J) is the quantization polynomial: J's n // 2 largest eigenvalues are the
+    # kappa of the Z = +1 branches and its n // 2 smallest those of Z = -1, within 64 ulp
+    for n in range(2, 51):
+        lattice = hooke._solve_lattice(n, range(11), [1, -1])
+        for m in range(11):
+            B, D, _, _ = hooke._jacobi(2 * (n - 1), m, n)
+            eig = np.linalg.eigvalsh(np.diag(np.sqrt([b / D for b in B]), -1)).tolist()
+            for Z, branches, side in ((1, lattice[2 * m], eig[-(n // 2):]),
+                                      (-1, lattice[2 * m + 1], eig[:n // 2])):
+                kappas = sorted(b.kappa for b in branches)
+                assert len(kappas) == len(side) == n // 2, (n, m, Z)
+                for lam, kappa in zip(side, kappas):
+                    assert abs(lam - kappa) <= 64 * math.ulp(kappa), (n, m, Z, lam, kappa)
 
 
 def test_termination_exact():

@@ -60,6 +60,15 @@ def test_condition_open_for_odd_shift():
         qes.sector_energies(p)
 
 
+def test_sector_energies_need_m_above_minus_three_halves():
+    # at m <= -3/2 some beta_j <= 0, and psi0 is not normalizable at x = 0 there either
+    for m in (Fraction(-3, 2), -2, -2.75):
+        p = qes.SexticParams(alpha=qes.qes_condition(4, m, 1), gamma=1, m=m)
+        assert qes.sector_degree(p) == 2
+        with pytest.raises(ValueError, match="m > -3/2"):
+            qes.sector_energies(p)
+
+
 def test_params_cache_takes_no_part_in_identity():
     # sqrt_gamma and A are computed once and kept; ==, hash, pickle and replace see the fields only
     read = qes.SexticParams(alpha=-6, gamma=Fraction(4, 9), m=0)
@@ -161,6 +170,21 @@ def test_sector_energies_match_symbolic_energy_recurrence(gamma, m):
         want = sorted([float(r) for r in rational] + irrational)
         assert _bits(qes.sector_energies(p)) == _bits(want), (gamma, m, n)
         assert len(want) == d + 1
+
+
+def test_sector_energies_and_branches_use_no_companion_matrix(monkeypatch):
+    # the sector energies come from the Jacobi matrix and the trap branches from their chambers
+    def refuse(*args, **kwargs):
+        raise AssertionError("companion-matrix root finding reached")
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(polyops, "real_roots", refuse)
+    for gamma in GRID_GAMMAS:
+        for m in GRID_MS:
+            for n in GRID_NS:
+                p = qes.SexticParams(alpha=qes.qes_condition(n, m, gamma), gamma=gamma, m=m)
+                assert len(qes.sector_energies(p)) == n // 2 + 1
+    for Z in (1, -1):
+        assert len(hooke.solve_frequencies(50, 10, Z)) == 25
 
 
 def _newton_root(poly, x, steps=4, bits=256):
