@@ -176,14 +176,14 @@ def sector_energies(p: SexticParams) -> list[float]:
     n, h = d + 1, (d + 1) // 2
     e_tilde, m_tilde, omega = _sector_arguments(p)
     B, D, r, c = _jacobi(e_tilde, m_tilde, n, omega)
-    # c_n(E) = sum_k r[n][k] (-1/2)^(n-2k) E^(n-2k) / (D^k c): times 2^n D^h c, integers
+    # c_n(E) = sum_k r[n][k] (-1/2)^(n-2k) E^(n-2k) / (D^k c) = P(E) / ((-2)^n D^h c), P on integers
     P = [0] * (n + 1)
     for k, x in enumerate(r[n]):
-        P[n - 2 * k] = (-1) ** n * c.denominator * x * 4**k * D ** (h - k)
+        P[n - 2 * k] = c.denominator * x * 4**k * D ** (h - k)
     starts = (-2.0 * np.linalg.eigvalsh(np.diag(np.sqrt([b / D for b in B]), -1))).tolist()
     if n % 2:   # the spectrum is symmetric about 0, so at odd n its middle is E = 0 exactly
         starts[h] = 0.0
-    return sorted(_polish(P, _derivative(P), 2**n * D**h * c.numerator, E) for E in starts)
+    return sorted(_polish(P, _derivative(P), (-2) ** n * D**h * c.numerator, E) for E in starts)
 
 
 @dataclass(frozen=True)
