@@ -142,8 +142,8 @@ def test_solve_prints_every_branch_beyond_the_domain(capsys):
 
 
 def test_cli_import_skips_scipy_optimize_and_integrate():
-    # SciPy is imported where it is used (the Bessel values); a cold start loads none of it
-    code = ("import sys, hookium.cli; "
+    # SciPy is a test-only oracle: a cold start loads no scipy module at all
+    code = ("import sys, hookium, hookium.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_fresh_env(), check=True, timeout=120)
@@ -152,10 +152,10 @@ def test_cli_import_skips_scipy_optimize_and_integrate():
 
 def test_verify_leaves_scipy_integrate_and_optimize_unloaded():
     # the adaptive oracle behind verify's two quadrature checks is the package's own
-    # Gauss-Kronrod pair; scipy.integrate would pull in scipy.optimize too
+    # Gauss-Kronrod pair, and its Bessel checks read the package's own kernel: verify
+    # loads no scipy module, scipy.integrate, scipy.optimize and scipy.special included
     code = ("import sys; from hookium import cli; code = cli.main(['verify']); "
-            "print(code, sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_fresh_env(), check=True, timeout=120).stdout.splitlines()
     assert out[-2:] == ["29/29 checks passed", "0 []"]
@@ -163,18 +163,48 @@ def test_verify_leaves_scipy_integrate_and_optimize_unloaded():
 
 def test_density_both_leaves_scipy_optimize_unloaded(tmp_path):
     # README's own density command, in a fresh interpreter: the width fit steps on its
-    # analytic slope, so no SciPy minimizer is imported
+    # analytic slope and every Bessel value is the package's own, so no scipy module
+    # (no minimizer, no scipy.special) is imported
     text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     command = next(ln for ln in text.splitlines() if ln.startswith("hookium density"))
     code = ("import sys; from hookium import cli; "
             f"code = cli.main({shlex.split(command)[1:]!r}); "
-            "print(code, sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_fresh_env(HOOKIUM_OUT_DIR=str(tmp_path)), check=True,
                          timeout=120).stdout.splitlines()
-    assert "beta_fitted = 0.16666666666666669" in out
+    assert "beta_fitted = 0.16666666666666666" in out
     assert out[-1] == "0 []"
     assert (tmp_path / "dens.json").is_file()
+
+
+def test_readme_commands_and_verify_print_the_same_without_scipy(tmp_path, capsys,
+                                                                  monkeypatch):
+    # SciPy is only a test oracle: in a fresh interpreter where `import scipy` raises, every
+    # README command and verify print byte for byte, and write the same files, as they do
+    # in this process, where SciPy is importable (the tests import it)
+    monkeypatch.setenv("HOOKIUM_OUT_DIR", str(tmp_path))
+    commands = readme_cli_commands() + [["verify"]]
+    code = "\n".join([
+        "import json, sys",
+        "sys.modules['scipy'] = None   # every import of scipy or a submodule raises",
+        "from hookium import cli",
+        "for argv in json.loads(sys.argv[1]):",
+        "    print(f'--- exit {cli.main(argv)}', flush=True)",
+        "print(sorted(m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v))",
+    ])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=300,
+                          env=_fresh_env(HOOKIUM_OUT_DIR=str(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    written = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert len(written) >= 5
+    here = []
+    for argv in commands:
+        got, out, _ = run(capsys, *argv)
+        here.append(f"{out}--- exit {got}\n")
+    assert proc.stdout == "".join(here) + "[]\n"
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == written
 
 
 def test_solve_quadratic_branches_golden(capsys):

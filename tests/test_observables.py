@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +43,156 @@ def test_bessel_scaled_variant():
 def test_bessel_rejects_other_orders():
     with pytest.raises(ValueError):
         observables.bessel_i(2, 1.0)
+
+
+def test_bessel_at_infinity_nan_and_negative_arguments():
+    inf = math.inf
+    assert observables.bessel_i(0, inf) == inf and observables.bessel_i(0, -inf) == inf
+    assert observables.bessel_i(1, inf) == inf and observables.bessel_i(1, -inf) == -inf
+    for order in (0, 1):
+        for x in (inf, -inf):
+            assert observables.bessel_i(order, x, scaled=True) == 0.0
+        for scaled in (False, True):
+            assert math.isnan(observables.bessel_i(order, math.nan, scaled=scaled))
+    xs = np.array([1e-300, 0.3, 4.0, 9.5, 10.0, 12.0, 80.0, 700.0, 1e5])
+    for scaled in (False, True):
+        i0, i1 = (observables.bessel_i(k, xs, scaled=scaled) for k in (0, 1))
+        assert np.array_equal(observables.bessel_i(0, -xs, scaled=scaled), i0)
+        assert np.array_equal(observables.bessel_i(1, -xs, scaled=scaled), -i1)
+        for x in xs.tolist():
+            assert observables.bessel_i(0, -x, scaled=scaled) == observables.bessel_i(
+                0, x, scaled=scaled)
+            assert observables.bessel_i(1, -x, scaled=scaled) == -observables.bessel_i(
+                1, x, scaled=scaled)
+
+
+def test_bessel_unscaled_overflows_only_past_the_float_range():
+    # filterwarnings turns a RuntimeWarning into an error: there is none past |x| = 709
+    big = np.array([709.0, 710.0, 713.9, 714.0, 800.0, 1e300, math.inf])
+    for order, sign in ((0, 1.0), (1, 1.0), (1, -1.0)):
+        got = observables.bessel_i(order, sign * big)
+        # I_nu(710) ~ 3.3e306 and I_nu(713.9) ~ 1.6e308 are finite; I_nu(714) passes 1.8e308
+        assert np.all(np.isfinite(got[:3])) and np.all(np.isinf(got[3:]))
+        assert np.all(np.sign(got) == sign)
+        for x, want in zip(big.tolist(), got.tolist()):
+            assert observables.bessel_i(order, sign * x) == pytest.approx(want, rel=1e-15)
+    scaled = observables.bessel_i(0, 710.0, scaled=True)
+    assert observables.bessel_i(0, 710.0) == pytest.approx(
+        scaled * math.exp(355.0) * math.exp(355.0), rel=1e-13)
+
+
+# (z, e^-z I_0(z), e^-z I_1(z)) from mpmath 1.3.0 at 50 digits, printed to 36: 0, the
+# subnormal range, both sides of the piece break at 10, 29 log-spaced points on [1e-3, 1e4]
+# and the points where e^z leaves the float range
+_BESSEL_REFERENCES = (
+    (0.0, "1.0", "0.0"),
+    (5e-324, "1.0", "2.47032822920623272088284396434110686e-324"),
+    (1e-300, "1.0", "5.00000000000000012529545917604379843e-301"),
+    (1e-08, "9.99999990000000074999999374107729993e-1", "4.99999995000000041711280060005297211e-9"),
+    (0.001, "9.99000749583515559374261281944622315e-1", "4.99500312354221347371364184148725003e-4"),
+    (0.0017782794100389228, "9.98224089956939098877395738302681583e-1", "8.87560322048657026122404314818100438e-4"),
+    (0.0031622776601683794, "9.96845209181883137492425032513116042e-1", "1.576148697635820923027249020243424e-3"),
+    (0.005623413251903491, "9.94400229917495616916588378535212219e-1", "2.79595066335612169338678326286506938e-3"),
+    (0.01, "9.90074585149707498803283301191134705e-1", "4.95031104711827570756994222560861395e-3"),
+    (0.01778279410038923, "9.82452051748366643176396714865626433e-1", "8.73502599720282753733866686770801441e-3"),
+    (0.03162277660168379, "9.69114227477705883179821100873365653e-1", "1.53211262975257854483514192199665507e-2"),
+    (0.056234132519034905, "9.4606526738845573344662573832167007e-1", "2.65900705453566704897386310341446119e-2"),
+    (0.1, "9.07100925782301091651761575229174683e-1", "4.5298446808809327276501352645992822e-2"),
+    (0.1778279410038923, "8.43717279688627855736001000937501384e-1", "7.47232720669120275410263932518509644e-2"),
+    (0.25, "7.91017162139719363886188333232469689e-1", "9.81126286973682466742034223380163188e-2"),
+    (0.31622776601683794, "7.4722995591352580474035837181393328e-1", "1.16694785133873353210738632433415686e-1"),
+    (0.5623413251903491, "6.15823964963472310656462485893913956e-1", "1.66649354610023682544644757028530662e-1"),
+    (1.0, "4.65759607593640436501901529563209999e-1", "2.0791041534970844886935468550795045e-1"),
+    (1.7782794100389228, "3.31310226597388545318469851884080071e-1", "2.17932552875414575517176946894733838e-1"),
+    (2.5, "2.70046441612202739560098656519673238e-1", "2.06584649531266554214643690449819137e-1"),
+    (3.1622776601683795, "2.35842421824608271474767059240720581e-1", "1.93697692556101672093371832060884567e-1"),
+    (5.0, "1.83540812609328353073650751837396677e-1", "1.63972266944542356926122903857531712e-1"),
+    (5.62341325190349, "1.72448617639135096921025715075897224e-1", "1.56252231603115669117724348700413222e-1"),
+    (7.5, "1.48315830077395502838382855063155492e-1", "1.38041211548554202489608893308162189e-1"),
+    (9.999999999999998, "1.27833337163428618994879619968631007e-1", "1.21262681384455528587704982135797733e-1"),
+    (10.0, "1.27833337163428607323050287645003038e-1", "1.21262681384455518718954970330323559e-1"),
+    (10.000000000000002, "1.27833337163428595651220955321378272e-1", "1.2126268138445550885020495852485176e-1"),
+    (12.0, "1.16426221213440442978519834836045999e-1", "1.11464299290180976415756843564563824e-1"),
+    (17.78279410038923, "9.52915084209746147958291008216610632e-2", "9.25721935701972293251233790252214563e-2"),
+    (20.0, "8.97803118848260215959446536697109921e-2", "8.75062221832886653563300683152216962e-2"),
+    (31.622776601683793, "7.12286724757843601130263975198274564e-2", "7.00932482272733062017702218868784544e-2"),
+    (35.0, "6.76783783504136257278640433619814365e-2", "6.67044317294914390792680994403908516e-2"),
+    (50.0, "5.65616266474541925299391880157635346e-2", "5.59931238928953996438787075573623908e-2"),
+    (56.23413251903491, "5.33192686812038366624965232095179314e-2", "5.28430397024643152875144867609086628e-2"),
+    (100.0, "3.99443792990966826475587051552748054e-2", "3.97441530251302526736389309881645458e-2"),
+    (177.82794100389228, "2.99375465752465492669679980008402715e-2", "2.98532519672496581104123410307274386e-2"),
+    (250.0, "2.52439693870547536331879104923736213e-2", "2.51934307571173052616926412855797579e-2"),
+    (316.2277660168379, "2.24430567753194773033117007815265328e-2", "2.24075430438100472281923641901902829e-2"),
+    (562.341325190349, "1.68269997753945113570645565408017892e-2", "1.68120315584610358152988667790847819e-2"),
+    (709.0, "1.49852354298899390396776615537339797e-2", "1.49746638312774372634107301962217198e-2"),
+    (710.0, "1.49746750050241565989517749418796192e-2", "1.49641257407841950554110388054711367e-2"),
+    (1000.0, "1.26172404558912565857161312899428555e-2", "1.26109302569286294702375643366230606e-2"),
+    (1778.2794100389228, "9.46107754628132141252936782448874475e-3", "9.45841699464635159815217465207967049e-3"),
+    (3162.2776601683795, "7.09458890738001162462828661935176372e-3", "7.09346706566909828158239843769329464e-3"),
+    (5623.413251903491, "5.32009907809948039238350018729132471e-3", "5.31962602593370406473351521843739578e-3"),
+    (10000.0, "3.98947267460473210636108195546355842e-3", "3.9892731959836622644799235866271372e-3"),
+)
+
+
+def _ulps(got, ref: str) -> float:
+    want = Fraction(Decimal(ref))
+    return float(abs(Fraction(got) - want) / Fraction(math.ulp(float(want))))
+
+
+def test_scaled_bessel_within_ulps_of_mpmath_references():
+    # ROADMAP item 16 measured SciPy's i0e and i1e at worst 6 and 4 ulp on points like these
+    z = np.array([row[0] for row in _BESSEL_REFERENCES])
+    i0, i1 = observables._scaled_bessel(z, both=True)
+    for k, (x, r0, r1) in enumerate(_BESSEL_REFERENCES):
+        s0, s1 = observables._scaled_bessel(x, both=True)
+        assert observables._scaled_bessel(x) == s0
+        for got in (i0[k], s0, observables.bessel_i(0, x, scaled=True)):
+            assert _ulps(got, r0) <= 4, (x, got, r0)
+        for got in (i1[k], s1, observables.bessel_i(1, x, scaled=True)):
+            assert _ulps(got, r1) <= 6, (x, got, r1)
+    assert observables._scaled_bessel(1e-300, both=True)[1] == 5e-301   # i1e(x) = x/2 here
+    assert observables._scaled_bessel(0.0, both=True) == (1.0, 0.0)
+
+
+def test_scaled_bessel_matches_scipy_on_a_dense_grid():
+    # SciPy, a test-only dependency, as a second oracle; the two differ by at most the sum
+    # of their errors (this kernel's 4 and 6 ulp bounds, SciPy's 6.7 and 9.0 ulp worst seen)
+    z = np.concatenate([np.linspace(0.0, 30.0, 300_001), np.geomspace(30.0, 1e4, 100_000)])
+    i0, i1 = observables._scaled_bessel(z, both=True)
+    assert np.array_equal(observables._scaled_bessel(z), i0)
+    for got, want, bound in ((i0, scipy.special.i0e(z), 11), (i1, scipy.special.i1e(z), 15)):
+        ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(want), 5e-324))
+        assert ulps.max() <= bound
+
+
+def test_scaled_bessel_point_and_array_paths_agree():
+    # the same operations in the same order; only math.exp and np.exp may round apart
+    z = np.concatenate([np.linspace(0.0, 12.0, 1201), [20.0, 300.0, math.inf, math.nan]])
+    z = np.concatenate([z, -z])
+    i0, i1 = observables._scaled_bessel(z, both=True)
+    for k, x in enumerate(z.tolist()):
+        p0, p1 = observables._scaled_bessel(x, both=True)
+        assert type(p0) is float and type(p1) is float
+        for got, want in ((p0, i0[k]), (p1, i1[k])):
+            assert got == want or abs(got - want) <= 2 * math.ulp(want) \
+                or math.isnan(got) and math.isnan(want), (x, got, want)
+    grid = np.zeros((0, 3))
+    assert observables._scaled_bessel(grid).shape == (0, 3)
+
+
+def test_convolution_asks_for_order_zero_only(monkeypatch):
+    # _convolve needs e^-z I_0 alone; the slope of the width fit needs both orders
+    asked = []
+    kernel = observables._scaled_bessel
+    monkeypatch.setattr(observables, "_scaled_bessel",
+                        lambda z, both=False: asked.append(both) or kernel(z, both))
+    case = observables.CATALOG["n2m1Zp1"]
+    observables.compare_density_routes(case, np.linspace(0.0, 8.0, 41), fit_width=False)
+    convolve_calls = len(asked) - asked.count(True)
+    assert convolve_calls > 0
+    asked.clear()
+    observables._convolve(case.state, 0.5, np.linspace(0.0, 8.0, 41), "bessel", 1e-15, 1e-12)
+    assert asked and not any(asked)
 
 
 def test_default_grid_shape():
